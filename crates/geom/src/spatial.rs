@@ -113,6 +113,23 @@ fn cells_for_radius(max_radius: f64) -> usize {
     (1.0 / max_radius).floor().clamp(1.0, 2048.0) as usize
 }
 
+/// Counting pass of the CSR counting sort over one run of points: appends
+/// each point's flat cell to `cell_scratch` and bumps that cell's population
+/// in `starts[cell + 1]`.
+#[inline]
+fn count_cells(
+    grid: SquareGrid,
+    points: &[Point],
+    starts: &mut [u32],
+    cell_scratch: &mut Vec<u32>,
+) {
+    for &p in points {
+        let c = grid.cell_of(p).index() as u32;
+        cell_scratch.push(c);
+        starts[c as usize + 1] += 1;
+    }
+}
+
 /// Chebyshev cell reach covering a radius-`radius` disk: any point within
 /// torus distance `radius` of a point in cell `c` lies within
 /// `⌈radius / cell_len⌉` cells of `c` along each axis.
@@ -204,9 +221,16 @@ pub struct SpatialHash {
     /// Inverse CSR permutation, filled by streamed builds only:
     /// `slot_of[id]` is the SoA slot holding point `id`.
     slot_of: Vec<u32>,
-    /// Rebuild scratch: the flat cell index of each point, cached between
-    /// the counting and placement passes and across `update` calls.
+    /// Rebuild scratch: the flat cell index of each point, in id order.
+    /// Written by the counting pass (for a streamed build, while the
+    /// stream runs), read by the placement pass, and kept across `update`
+    /// calls.
     cell_scratch: Vec<u32>,
+    /// Streamed-build scratch: the streamed positions in id order, staged
+    /// by the counting pass so placement need not run the stream again.
+    /// Reserved once to exactly the declared length and reused across
+    /// slots; materialized builds leave it untouched.
+    staged: Vec<Point>,
     /// `update` scratch: the new flat cell index of each point.
     next_cells: Vec<u32>,
     /// `update` scratch: per-cell population counts over the dirty suffix.
@@ -274,39 +298,55 @@ impl SpatialHash {
         self.cell_len = grid.cell_len();
         self.points.clear();
         self.points.extend_from_slice(points);
+        self.begin_count(grid, points.len());
+        count_cells(grid, points, &mut self.starts, &mut self.cell_scratch);
+        self.place::<false>(points);
+        self.grid = Some(grid);
+        self.last_rebuild = RebuildKind::Full;
+    }
 
-        // Counting pass: starts[c + 1] accumulates the population of cell c.
-        // The flat cell index of each point is cached so the placement pass
-        // need not recompute cell_of.
-        let cell_count = grid.cell_count();
+    /// Resets the counting-pass state for `len` points on `grid`: zeroed
+    /// per-cell counts and an empty `cell_scratch` with room for exactly
+    /// `len` cell ids, so the counting pass never reallocates.
+    fn begin_count(&mut self, grid: SquareGrid, len: usize) {
         self.starts.clear();
-        self.starts.resize(cell_count + 1, 0);
+        self.starts.resize(grid.cell_count() + 1, 0);
         self.cell_scratch.clear();
-        for &p in points {
-            let c = grid.cell_of(p).index() as u32;
-            self.cell_scratch.push(c);
-            self.starts[c as usize + 1] += 1;
-        }
+        self.cell_scratch.reserve_exact(len);
+    }
+
+    /// Placement pass of the counting sort, after the counting pass left
+    /// the population of cell `c` in `starts[c + 1]` and the cell of every
+    /// point in `cell_scratch`. Scans `points` in id order so each cell's
+    /// ids come out increasing (the order the historical per-cell Vecs
+    /// received them) and fills the SoA mirror in the same sweep; with
+    /// `INVERSE`, also fills `slot_of`.
+    fn place<const INVERSE: bool>(&mut self, points: &[Point]) {
+        let cell_count = self.starts.len() - 1;
         // Prefix sum: starts[c] = first slot of cell c.
         for c in 0..cell_count {
             self.starts[c + 1] += self.starts[c];
         }
-        // Placement pass: scan points in id order so each cell's ids come
-        // out increasing (the order the historical per-cell Vecs received
-        // them), bumping starts[c] as a cursor. The SoA position mirror is
-        // filled in the same sweep.
+        let len = points.len();
         self.ids.clear();
-        self.ids.resize(points.len(), 0);
+        self.ids.resize(len, 0);
         self.xs.clear();
-        self.xs.resize(points.len(), 0.0);
+        self.xs.resize(len, 0.0);
         self.ys.clear();
-        self.ys.resize(points.len(), 0.0);
-        for (id, &cell) in self.cell_scratch.iter().enumerate() {
+        self.ys.resize(len, 0.0);
+        self.slot_of.clear();
+        if INVERSE {
+            self.slot_of.resize(len, 0);
+        }
+        // starts[c] serves as the cursor of cell c.
+        for (id, (&cell, &p)) in self.cell_scratch.iter().zip(points).enumerate() {
             let slot = self.starts[cell as usize] as usize;
             self.ids[slot] = id as u32;
-            let p = points[id];
             self.xs[slot] = p.x;
             self.ys[slot] = p.y;
+            if INVERSE {
+                self.slot_of[id] = slot as u32;
+            }
             self.starts[cell as usize] = slot as u32 + 1;
         }
         // After placement starts[c] holds the *end* of cell c; shift right
@@ -315,8 +355,20 @@ impl SpatialHash {
             self.starts[c] = self.starts[c - 1];
         }
         self.starts[0] = 0;
+    }
+
+    /// Empties the index, keeping its buffers for reuse: afterwards
+    /// `len() == 0` and every query returns nothing.
+    fn clear(&mut self) {
+        self.grid = None;
+        self.ids.clear();
+        self.starts.clear();
+        self.xs.clear();
+        self.ys.clear();
+        self.points.clear();
         self.slot_of.clear();
-        self.grid = Some(grid);
+        self.cell_scratch.clear();
+        self.staged.clear();
         self.last_rebuild = RebuildKind::Full;
     }
 
@@ -380,25 +432,52 @@ impl SpatialHash {
         Ok(self.update(points, max_radius))
     }
 
-    /// Builds the index from a *streamed* snapshot of `len` positions
-    /// without ever materializing them: `stream` is invoked twice (once per
-    /// counting-sort pass) and must replay the identical chunk sequence to
-    /// its argument both times — e.g. by re-running a counter-based slot
-    /// RNG from the same `(seed, slot)`.
+    /// Builds the index from a *streamed* snapshot of `len` positions,
+    /// delivered in chunks, so the caller never materializes it.
     ///
-    /// The CSR layout, the SoA coordinate mirror and every query kernel are
-    /// byte-identical to [`SpatialHash::rebuild`] over the concatenation of
-    /// the chunks; only the id-ordered `points` copy is omitted (so the
-    /// resident footprint stays `O(len)` in compact arrays —
-    /// [`SpatialHash::position`] reads back through the inverse
-    /// permutation).
+    /// `stream` is invoked exactly once and hands its chunks, in id order,
+    /// to its argument. Nothing is replayed, so the stream need not be
+    /// replayable: a counter-based slot RNG, a file reader or any one-shot
+    /// source works. While the stream runs, each point's cell is recorded
+    /// and the per-cell populations counted, and its coordinates are
+    /// staged in an index-owned buffer reserved to exactly `len` points;
+    /// the placement pass then scatters from that buffer into cell order.
+    ///
+    /// The CSR layout, the SoA coordinate mirror, the cached cells and
+    /// every query kernel are byte-identical to [`SpatialHash::rebuild`]
+    /// over the concatenation of the chunks. Only the id-ordered `points`
+    /// copy is omitted: [`SpatialHash::position`] reads back through the
+    /// inverse permutation instead. The resident footprint stays `O(len)`
+    /// in compact arrays, and after the first slot of a given size no
+    /// buffer grows.
+    ///
+    /// On any error the index is left empty (`len() == 0`, every query
+    /// returns nothing), never half-built.
     ///
     /// # Errors
     ///
     /// [`HycapError::InvalidParameter`] on a violated constructor contract;
-    /// [`HycapError::Mismatch`] when a pass streams a total different from
-    /// `len` (e.g. a non-replayable stream).
+    /// [`HycapError::Mismatch`] when the stream emits a total different
+    /// from `len`.
     pub fn try_rebuild_streamed<F>(
+        &mut self,
+        len: usize,
+        max_radius: f64,
+        stream: F,
+    ) -> Result<(), HycapError>
+    where
+        F: FnMut(&mut dyn FnMut(&[Point])),
+    {
+        let built = self.rebuild_streamed_once(len, max_radius, stream);
+        if built.is_err() {
+            self.clear();
+        }
+        built
+    }
+
+    /// Body of [`SpatialHash::try_rebuild_streamed`]; may leave the index
+    /// inconsistent on error, which the caller repairs by clearing it.
+    fn rebuild_streamed_once<F>(
         &mut self,
         len: usize,
         max_radius: f64,
@@ -415,83 +494,38 @@ impl SpatialHash {
         };
         self.cell_len = grid.cell_len();
         self.points.clear();
+        self.begin_count(grid, len);
+        self.staged.clear();
+        self.staged.reserve_exact(len);
 
-        // Pass 1 (counting): cache each point's flat cell and accumulate
-        // per-cell populations, exactly as the materialized rebuild does.
-        let cell_count = grid.cell_count();
-        self.starts.clear();
-        self.starts.resize(cell_count + 1, 0);
-        self.cell_scratch.clear();
+        // The one pass over the stream: count and stage. Points past `len`
+        // are only counted, so neither buffer outgrows its reservation;
+        // the overflow is rejected below.
+        let mut emitted = 0usize;
         {
             let starts = &mut self.starts;
             let cell_scratch = &mut self.cell_scratch;
+            let staged = &mut self.staged;
             stream(&mut |chunk: &[Point]| {
-                for &p in chunk {
-                    let c = grid.cell_of(p).index() as u32;
-                    cell_scratch.push(c);
-                    starts[c as usize + 1] += 1;
-                }
+                let take = chunk.len().min(len - staged.len());
+                count_cells(grid, &chunk[..take], starts, cell_scratch);
+                staged.extend_from_slice(&chunk[..take]);
+                emitted += chunk.len();
             });
         }
-        if self.cell_scratch.len() != len {
+        if emitted != len {
             return Err(HycapError::Mismatch {
                 what: "streamed point count and declared length",
-                left: self.cell_scratch.len(),
+                left: emitted,
                 right: len,
             });
-        }
-        for c in 0..cell_count {
-            self.starts[c + 1] += self.starts[c];
         }
 
-        // Pass 2 (placement): replay the stream, placing ids in id order so
-        // per-cell ids come out increasing, and fill the inverse
-        // permutation that backs `position` lookups.
-        self.ids.clear();
-        self.ids.resize(len, 0);
-        self.xs.clear();
-        self.xs.resize(len, 0.0);
-        self.ys.clear();
-        self.ys.resize(len, 0.0);
-        self.slot_of.clear();
-        self.slot_of.resize(len, 0);
-        let mut id = 0usize;
-        {
-            let starts = &mut self.starts;
-            let cell_scratch = &self.cell_scratch;
-            let ids = &mut self.ids;
-            let xs = &mut self.xs;
-            let ys = &mut self.ys;
-            let slot_of = &mut self.slot_of;
-            stream(&mut |chunk: &[Point]| {
-                for &p in chunk {
-                    if id >= len {
-                        // Tolerate the overflow here; rejected after the pass.
-                        id += 1;
-                        continue;
-                    }
-                    let cell = cell_scratch[id] as usize;
-                    let slot = starts[cell] as usize;
-                    ids[slot] = id as u32;
-                    xs[slot] = p.x;
-                    ys[slot] = p.y;
-                    slot_of[id] = slot as u32;
-                    starts[cell] = slot as u32 + 1;
-                    id += 1;
-                }
-            });
-        }
-        if id != len {
-            return Err(HycapError::Mismatch {
-                what: "streamed point count and declared length",
-                left: id,
-                right: len,
-            });
-        }
-        for c in (1..=cell_count).rev() {
-            self.starts[c] = self.starts[c - 1];
-        }
-        self.starts[0] = 0;
+        // Placement from the staged copy, filling the inverse permutation
+        // that backs `position` lookups.
+        let staged = std::mem::take(&mut self.staged);
+        self.place::<true>(&staged);
+        self.staged = staged;
         self.grid = Some(grid);
         self.last_rebuild = RebuildKind::Full;
         Ok(())
@@ -1630,6 +1664,104 @@ mod tests {
             .try_rebuild_streamed(19, 0.05, |emit| emit(&pts))
             .unwrap_err();
         assert!(matches!(err, HycapError::Mismatch { .. }), "{err}");
+    }
+
+    /// Asserts `hash` is empty and answers every query with nothing.
+    fn assert_empty_index(hash: &SpatialHash) {
+        assert_eq!(hash.len(), 0);
+        assert!(hash.is_empty());
+        assert_eq!(hash.csr_layout(), (&[][..], &[][..]));
+        assert!(hash.query(Point::new(0.5, 0.5), 0.5).is_empty());
+        assert_eq!(hash.count_within(Point::new(0.5, 0.5), 0.5), 0);
+        let mut scratch = OccupancyScratch::default();
+        let mut out = vec![7];
+        hash.unique_neighbors_into(0.05, None, &mut scratch, &mut out);
+        assert!(out.is_empty());
+        let mut pairs = 0;
+        hash.for_each_pair_within(0.5, |_, _| pairs += 1);
+        assert_eq!(pairs, 0);
+    }
+
+    #[test]
+    fn failed_streamed_build_leaves_the_index_empty() {
+        let radius = 0.05;
+        let pts = random_points(31, 241);
+        let mut hash = build_streamed(&pts[..20], radius, 8);
+        assert_eq!(hash.len(), 20);
+        // Overflow: 31 points streamed against a declared 30.
+        let err = hash
+            .try_rebuild_streamed(30, radius, |emit| emit(&pts))
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                HycapError::Mismatch {
+                    left: 31,
+                    right: 30,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert_empty_index(&hash);
+        // Underflow and a violated contract leave it empty too.
+        let mut hash = build_streamed(&pts[..20], radius, 8);
+        assert!(hash
+            .try_rebuild_streamed(30, radius, |emit| emit(&pts[..29]))
+            .is_err());
+        assert_empty_index(&hash);
+        let mut hash = build_streamed(&pts[..20], radius, 8);
+        assert!(hash
+            .try_rebuild_streamed(20, f64::NAN, |emit| emit(&pts[..20]))
+            .is_err());
+        assert_empty_index(&hash);
+        // The emptied index rebuilds normally.
+        hash.try_rebuild_streamed(31, radius, |emit| emit(&pts))
+            .unwrap();
+        assert_same_layout_streamed(&hash, &SpatialHash::build(&pts, radius));
+    }
+
+    #[test]
+    fn streamed_build_invokes_the_stream_once() {
+        let pts = random_points(300, 251);
+        let mut hash = SpatialHash::new();
+        for (len, chunk) in [(300usize, 64usize), (300, 300), (299, 64), (301, 64)] {
+            let mut calls = 0;
+            let built = hash.try_rebuild_streamed(len, 0.05, |emit| {
+                calls += 1;
+                for c in pts.chunks(chunk) {
+                    emit(c);
+                }
+            });
+            assert_eq!(built.is_ok(), len == pts.len());
+            assert_eq!(calls, 1, "len={len} chunk={chunk}");
+        }
+    }
+
+    #[test]
+    fn streamed_build_accepts_a_non_replayable_stream() {
+        let radius = 0.05;
+        let mut hash = SpatialHash::new();
+        let mut call = 0u64;
+        for _ in 0..3 {
+            // Every invocation draws fresh points: a second call would not
+            // replay the first.
+            let mut emitted = Vec::new();
+            hash.try_rebuild_streamed(400, radius, |emit| {
+                call += 1;
+                let fresh = random_points(400, 9000 + call);
+                for c in fresh.chunks(57) {
+                    emitted.extend_from_slice(c);
+                    emit(c);
+                }
+            })
+            .unwrap();
+            let fresh = SpatialHash::build(&emitted, radius);
+            assert_same_layout_streamed(&hash, &fresh);
+            for (id, &p) in emitted.iter().enumerate() {
+                assert_eq!(hash.position(id), p);
+            }
+        }
     }
 
     #[test]

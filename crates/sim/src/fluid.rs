@@ -34,10 +34,10 @@ use crate::faults::{FaultInjector, FaultSchedule, FaultTally, OutagePolicy};
 use crate::pool::{chunk_ranges, WorkerPool};
 use crate::HybridNetwork;
 use hycap_errors::HycapError;
-use hycap_geom::{clamp_index_radius, Point};
+use hycap_geom::{clamp_index_radius, Cell, Point, SquareGrid};
 use hycap_infra::Backbone;
 use hycap_obs::{MetricsSink, Observer, Snapshot, SpanTimer};
-use hycap_routing::{edge_key, EdgeKey, SchemeAPlan, SchemeBPlan, TrafficMatrix, TwoHopPlan};
+use hycap_routing::{EdgeKey, SchemeAPlan, SchemeBPlan, TrafficMatrix, TwoHopPlan};
 use hycap_wireless::{
     critical_range, schedule_memoized_observed, schedule_observed, schedule_prebuilt_observed,
     SStarScheduler, ScheduleMemo, ScheduledPair, Scheduler, SlotWorkspace,
@@ -1041,7 +1041,7 @@ impl FluidEngine {
         let scheduler = SStarScheduler::new(self.delta);
         let grid = *plan.grid();
         let homes: Vec<Point> = net.population().home_points().points().to_vec();
-        let mut acc = SchemeAAcc::default();
+        let mut acc = SchemeAAcc::new(plan.grid());
         let mut buf = Vec::new();
         let mut alive = Vec::new();
         let mut ws = SlotWorkspace::new();
@@ -1098,8 +1098,8 @@ impl FluidEngine {
                 }
                 let ca = grid.cell_of(homes[pair.a]);
                 let cb = grid.cell_of(homes[pair.b]);
-                if ca == cb || grid.manhattan(ca, cb) == 1 {
-                    *acc.service.entry(edge_key(ca, cb)).or_insert(0.0) += 1.0;
+                if let Some(e) = edge_slot(&grid, ca, cb) {
+                    acc.service[e] += 1.0;
                     acc.credited += 1;
                 }
             }
@@ -1292,7 +1292,7 @@ impl FluidEngine {
             Some(pool) => pool.run(jobs),
             None => jobs.into_iter().map(|job| job()).collect(),
         };
-        let mut acc = SchemeAAcc::default();
+        let mut acc = SchemeAAcc::new(plan.grid());
         let mut merged = observe.then(Snapshot::default);
         for (chunk_acc, snap) in results {
             acc.absorb(chunk_acc);
@@ -1520,7 +1520,7 @@ impl FluidEngine {
             Some(pool) => pool.run(jobs),
             None => jobs.into_iter().map(|job| job()).collect(),
         };
-        let mut acc = SchemeAAcc::default();
+        let mut acc = SchemeAAcc::new(plan.grid());
         let mut tally = FaultTally::default();
         let mut merged = observe.then(Snapshot::default);
         let mut end_injector = None;
@@ -1698,12 +1698,12 @@ impl FluidEngine {
     /// Streamed scheme A measurement: bit-identical to
     /// [`FluidEngine::measure_scheme_a_ctr`], but no step ever materializes
     /// the full `n + k` position snapshot. Each slot's positions are
-    /// replayed from the counter stream in chunks of at most `chunk`
+    /// drawn once from the counter stream in chunks of at most `chunk`
     /// points, straight into the workspace's spatial index
     /// (`SpatialHash::try_rebuild_streamed`), and the scheduler runs over
     /// the prebuilt index. Peak live memory is `O(n)` ids/coordinates in
-    /// the index plus `O(chunk)` scratch — never a second position array —
-    /// which is what makes `n = 10⁶` ladder points routine.
+    /// the index (including its id-ordered staging copy) plus `O(chunk)`
+    /// scratch, which is what makes `n = 10⁶` ladder points routine.
     ///
     /// # Errors
     ///
@@ -1899,7 +1899,7 @@ impl FluidEngine {
         let index_radius = clamp_index_radius(scheduler.protocol().guard_radius(range));
         let grid = *plan.grid();
         let homes = net.population().home_points().points();
-        let mut acc = SchemeAAcc::default();
+        let mut acc = SchemeAAcc::new(plan.grid());
         let mut chunk_buf: Vec<Point> = Vec::new();
         let mut alive = Vec::new();
         let mut ws = SlotWorkspace::new();
@@ -1937,8 +1937,8 @@ impl FluidEngine {
                 }
                 let ca = grid.cell_of(homes[pair.a]);
                 let cb = grid.cell_of(homes[pair.b]);
-                if ca == cb || grid.manhattan(ca, cb) == 1 {
-                    *acc.service.entry(edge_key(ca, cb)).or_insert(0.0) += 1.0;
+                if let Some(e) = edge_slot(&grid, ca, cb) {
+                    acc.service[e] += 1.0;
                     acc.credited += 1;
                 }
             }
@@ -2325,14 +2325,48 @@ fn median(values: &mut [f64]) -> f64 {
     values[values.len() / 2]
 }
 
+/// Dense slot of the scheme-A squarelet edge joining cells `a` and `b` in
+/// [`SchemeAAcc::service`], or `None` when the cells are neither equal nor
+/// edge-adjacent (such contacts serve no scheme-A hop).
+///
+/// Cell `c` owns three slots: `3c` for its self edge, `3c + 1` for the edge
+/// to its `col + 1` neighbour and `3c + 2` for the edge to its `row + 1`
+/// neighbour (torus-wrapped). The slot depends only on the unordered pair,
+/// as [`hycap_routing::edge_key`] does, so on 1- and 2-wide grids, where
+/// the wrap makes the `±1` neighbours of a cell coincide, both directions
+/// of an aliased edge land in one slot, exactly as they share one key.
+fn edge_slot(grid: &SquareGrid, a: Cell, b: Cell) -> Option<usize> {
+    if a == b {
+        return Some(3 * a.index());
+    }
+    let s = grid.cells_per_side();
+    let next = |i: usize| if i + 1 == s { 0 } else { i + 1 };
+    let forward = |from: Cell, to: Cell| {
+        if from.row() == to.row() && next(from.col()) == to.col() {
+            Some(3 * from.index() + 1)
+        } else if from.col() == to.col() && next(from.row()) == to.row() {
+            Some(3 * from.index() + 2)
+        } else {
+            None
+        }
+    };
+    let (lo, hi) = if a.index() <= b.index() {
+        (a, b)
+    } else {
+        (b, a)
+    };
+    forward(lo, hi).or_else(|| forward(hi, lo))
+}
+
 /// Per-chunk scheme A tallies. Every field is a sum of per-slot
 /// contributions (service counts are integer-valued f64s well below 2^53),
 /// so [`SchemeAAcc::absorb`] over any contiguous partition reproduces the
 /// sequential totals exactly — this is what makes the sharded runs
 /// bit-identical to the single-chunk reference.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct SchemeAAcc {
-    service: HashMap<EdgeKey, f64>,
+    /// Contacts credited to each squarelet edge, indexed by [`edge_slot`].
+    service: Vec<f64>,
     total_pairs: usize,
     credited: u64,
     alive_sum: usize,
@@ -2343,9 +2377,21 @@ struct SchemeAAcc {
 }
 
 impl SchemeAAcc {
+    fn new(grid: &SquareGrid) -> Self {
+        SchemeAAcc {
+            service: vec![0.0; 3 * grid.cell_count()],
+            total_pairs: 0,
+            credited: 0,
+            alive_sum: 0,
+            outage_slots: 0,
+            slots_done: 0,
+        }
+    }
+
     fn absorb(&mut self, other: SchemeAAcc) {
-        for (edge, count) in other.service {
-            *self.service.entry(edge).or_insert(0.0) += count;
+        debug_assert_eq!(self.service.len(), other.service.len());
+        for (mine, theirs) in self.service.iter_mut().zip(&other.service) {
+            *mine += theirs;
         }
         self.total_pairs += other.total_pairs;
         self.credited += other.credited;
@@ -2442,13 +2488,16 @@ fn check_streamed_run(net: &HybridNetwork, slots: usize, chunk: usize) -> Result
 fn scheme_a_bottleneck(
     plan: &SchemeAPlan,
     slots: usize,
-    service: &HashMap<EdgeKey, f64>,
+    service: &[f64],
 ) -> (f64, f64, Bottleneck) {
     let mut lambda = f64::INFINITY;
     let mut bottleneck = Bottleneck::Unconstrained;
     let mut ratios = Vec::with_capacity(plan.edge_load().len());
     for (&edge, &load) in plan.edge_load() {
-        let rate = service.get(&edge).copied().unwrap_or(0.0) / slots as f64;
+        let grid = plan.grid();
+        let (a, b) = (grid.cell_from_index(edge.0), grid.cell_from_index(edge.1));
+        let served = edge_slot(grid, a, b).map_or(0.0, |e| service[e]);
+        let rate = served / slots as f64;
         let this = rate / load;
         ratios.push(this);
         if rate == 0.0 {
@@ -2747,6 +2796,7 @@ mod tests {
     use super::*;
     use hycap_infra::BaseStations;
     use hycap_mobility::{ClusteredModel, Kernel, MobilityKind, Population, PopulationConfig};
+    use hycap_routing::edge_key;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -2760,6 +2810,58 @@ mod tests {
             .build();
         let pop = Population::generate(&config, &mut rng);
         (HybridNetwork::ad_hoc(pop), rng)
+    }
+
+    /// The dense edge tally against the keyed map it replaced, on grids
+    /// small enough that the torus wrap aliases `±x` / `±y` neighbours.
+    #[test]
+    fn dense_edge_tally_matches_keyed_map() {
+        for side in [1usize, 2, 3] {
+            let grid = SquareGrid::with_cells_per_side(side);
+            let cells: Vec<Cell> = grid.cells().collect();
+            let mut rng = StdRng::seed_from_u64(0xED6E + side as u64);
+            let mut keyed: HashMap<EdgeKey, f64> = HashMap::new();
+            let mut dense = SchemeAAcc::new(&grid);
+            for _ in 0..500 {
+                let ca = cells[rng.gen_range(0..cells.len())];
+                let cb = cells[rng.gen_range(0..cells.len())];
+                if ca == cb || grid.manhattan(ca, cb) == 1 {
+                    *keyed.entry(edge_key(ca, cb)).or_insert(0.0) += 1.0;
+                }
+                if let Some(e) = edge_slot(&grid, ca, cb) {
+                    dense.service[e] += 1.0;
+                }
+            }
+            // Every same-or-adjacent key owns a slot of its own, and only
+            // those keys have one.
+            let mut owner: HashMap<usize, EdgeKey> = HashMap::new();
+            for &a in &cells {
+                for &b in &cells {
+                    let key = edge_key(a, b);
+                    let adjacent = a == b || grid.manhattan(a, b) == 1;
+                    assert_eq!(edge_slot(&grid, a, b), edge_slot(&grid, b, a));
+                    match edge_slot(&grid, a, b) {
+                        Some(e) => {
+                            assert!(adjacent, "side {side}: {key:?}");
+                            assert_eq!(*owner.entry(e).or_insert(key), key, "side {side}");
+                            let want = keyed.get(&key).copied().unwrap_or(0.0);
+                            assert_eq!(dense.service[e].to_bits(), want.to_bits());
+                        }
+                        None => assert!(!adjacent, "side {side}: {key:?}"),
+                    }
+                }
+            }
+            let total: f64 = dense.service.iter().sum();
+            assert_eq!(total, keyed.values().sum::<f64>(), "side {side}");
+            // Merging chunk tallies adds slot by slot.
+            let mut merged = SchemeAAcc::new(&grid);
+            merged.absorb(dense);
+            for (&(lo, hi), &count) in &keyed {
+                let (a, b) = (grid.cell_from_index(lo), grid.cell_from_index(hi));
+                let e = edge_slot(&grid, a, b).expect("credited keys have slots");
+                assert_eq!(merged.service[e].to_bits(), count.to_bits());
+            }
+        }
     }
 
     #[test]

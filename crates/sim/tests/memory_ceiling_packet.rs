@@ -24,54 +24,17 @@
 //! --test memory_ceiling_packet -- --ignored`. Keep this the only test in
 //! the binary: a concurrent test would pollute the global counters.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::{LIVE, PEAK};
+use std::sync::atomic::Ordering;
 
 use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
 use hycap_routing::TrafficMatrix;
 use hycap_sim::{FlowWorkload, HybridNetwork, PacingTrace, PacketEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-struct CountingAlloc;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn note_live(live: usize) {
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            note_live(LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size());
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() {
-            if new_size >= layout.size() {
-                let grow = new_size - layout.size();
-                note_live(LIVE.fetch_add(grow, Ordering::Relaxed) + grow);
-            } else {
-                LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
-            }
-        }
-        p
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
 
 const N: usize = 20_000;
 const WARMUP_HORIZON: usize = 30;
