@@ -139,7 +139,8 @@ pub fn table1_exponents() -> [(&'static str, ModelExponents, bool, MobilityKind)
 }
 
 /// Runs one Table I row: sweeps the ladder, measures the regime-optimal
-/// scheme per `n`, fits the exponent. Ladder points fan out across `pool`.
+/// scheme per `n`, fits the exponent. Every (ladder point, repetition)
+/// is its own job on `pool`, largest first.
 pub fn run_table1_row(
     label: &'static str,
     exps: ModelExponents,
@@ -184,7 +185,7 @@ pub fn run_table1_row_checkpointed(
     pool: &WorkerPool,
     checkpoint: Option<&Arc<Checkpoint>>,
 ) -> Result<RowResult, HycapError> {
-    run_table1_row_impl(
+    run_table1_row_cached(
         label, exps, with_bs, mobility, scale, seed, pool, checkpoint, None,
     )
 }
@@ -213,9 +214,9 @@ pub fn run_table1_row_cached(
     checkpoint: Option<&Arc<Checkpoint>>,
     cache: Option<&Arc<ResultCache>>,
 ) -> Result<RowResult, HycapError> {
-    run_table1_row_impl(
-        label, exps, with_bs, mobility, scale, seed, pool, checkpoint, cache,
-    )
+    let row = RowPlan::new(label, exps, with_bs, mobility, scale);
+    let mut rows = run_table1_batch(vec![row], scale, seed, pool, checkpoint, cache)?;
+    Ok(rows.pop().expect("one row in, one row out"))
 }
 
 /// The cache key of one clustered-multihop (Corollary 3) measurement,
@@ -235,204 +236,348 @@ fn clustered_cache_key(exps: &ModelExponents, n: usize, seed: u64) -> String {
     format!("clustered-{}", scenario_digest(&refs))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_table1_row_impl(
+/// One Table I row as the drivers fan it out: its spec plus what is
+/// derived from it once (regime, ladder).
+struct RowPlan {
     label: &'static str,
     exps: ModelExponents,
     with_bs: bool,
     mobility: MobilityKind,
+    regime: Option<MobilityRegime>,
+    ns: Vec<usize>,
+}
+
+impl RowPlan {
+    fn new(
+        label: &'static str,
+        exps: ModelExponents,
+        with_bs: bool,
+        mobility: MobilityKind,
+        scale: Scale,
+    ) -> Self {
+        let regime = if matches!(mobility, MobilityKind::Static) {
+            exps.classify_with_excursion(f64::INFINITY).ok()
+        } else {
+            exps.classify().ok()
+        };
+        RowPlan {
+            label,
+            exps,
+            with_bs,
+            mobility,
+            regime,
+            ns: ladder_for(scale, &exps),
+        }
+    }
+
+    /// Estimated cost of one repetition at `n`, used only to order
+    /// dispatch: `n` times the fluid engines the rep runs. Every rep of a
+    /// row runs the same schemes, so this ranks a row's jobs exactly; the
+    /// analytic rows (clustered multihop, scheme C) cost microseconds and
+    /// rank last.
+    fn rep_cost(&self, n: usize) -> u64 {
+        let engines = match (self.regime, self.with_bs) {
+            (Some(MobilityRegime::Strong), true) => 2,
+            (Some(MobilityRegime::Strong), false) | (None, _) => 1,
+            (Some(MobilityRegime::Weak), true) => 1,
+            _ => 0,
+        };
+        n as u64 * engines
+    }
+
+    /// Repetition `rep` at ladder point `n`: (mobility term, infrastructure
+    /// term), either absent when the row does not measure it. A pure
+    /// function of `(row, n, seed, rep)`.
+    fn measure_rep(
+        &self,
+        n: usize,
+        seed: u64,
+        rep: usize,
+        slots: usize,
+        cache: Option<&ResultCache>,
+        cache_err: &Mutex<Option<HycapError>>,
+    ) -> RepOut {
+        let seed = seed
+            .wrapping_add((n as u64) << 8)
+            .wrapping_add(rep as u64)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        if self.regime == Some(MobilityRegime::Weak) && !self.with_bs {
+            // Corollary 3 row: clustered static multihop at the Lemma 10
+            // connectivity range.
+            let lambda = match cache {
+                None => measure_clustered_no_bs(&self.exps, n, seed),
+                Some(c) => {
+                    let key = clustered_cache_key(&self.exps, n, seed);
+                    match c.get(&key, |e| e.f64("lambda")) {
+                        Some(v) => v,
+                        None => {
+                            let v = measure_clustered_no_bs(&self.exps, n, seed);
+                            let mut entry = CacheEntry::new();
+                            entry.push_f64("lambda", v);
+                            if let Err(e) = c.put(&key, &entry) {
+                                stash_first(cache_err, e);
+                            }
+                            v
+                        }
+                    }
+                }
+            };
+            return (Some(lambda), None);
+        }
+        let sc = Scenario::builder(self.exps, n)
+            .mobility(self.mobility)
+            // 2x2 constant-area squarelets: the mobility radius is a larger
+            // fraction of the squarelet at small n, which shortens the
+            // finite-size transient of phase I/III.
+            .scheme_b_cells(2)
+            .seed(seed)
+            .build_with_bs(self.with_bs);
+        let report = match cache {
+            None => sc.measure(slots),
+            Some(c) => sc.measure_cached(slots, c).unwrap_or_else(|e| {
+                stash_first(cache_err, e);
+                sc.measure(slots)
+            }),
+        };
+        (report.lambda_mobility_typical, report.lambda_infra_typical)
+    }
+
+    /// Fits each measured term against its prediction.
+    fn result(&self, measured: &[(f64, f64)]) -> RowResult {
+        let xs: Vec<f64> = self.ns.iter().map(|&n| n as f64).collect();
+        let component = |name: &'static str, lambdas: Vec<f64>, order: Option<hycap::Order>| {
+            let positive = lambdas.iter().filter(|&&l| l > 0.0).count();
+            let fit = (positive >= 2)
+                .then(|| fit_loglog(&xs, &lambdas).ok())
+                .flatten();
+            ComponentResult {
+                name,
+                ns: self.ns.clone(),
+                lambdas,
+                fit,
+                theory_exponent: order.map_or(f64::NAN, |o| o.poly),
+                theory_label: order.map_or_else(|| "(boundary)".into(), |o| o.to_string()),
+            }
+        };
+        let exps = &self.exps;
+        let mob: Vec<f64> = measured.iter().map(|&(m, _)| m).collect();
+        let infra: Vec<f64> = measured.iter().map(|&(_, i)| i).collect();
+        let components = match (self.regime, self.with_bs) {
+            (Some(MobilityRegime::Strong), true) => vec![
+                component(
+                    "mobility term (scheme A)",
+                    mob,
+                    Some(hycap::mobility_order(exps.alpha)),
+                ),
+                component(
+                    "infrastructure term (scheme B)",
+                    infra,
+                    Some(hycap::infrastructure_order(exps.k_exp, exps.phi)),
+                ),
+            ],
+            (Some(MobilityRegime::Strong), false) | (None, _) => vec![component(
+                "capacity (scheme A)",
+                mob,
+                self.regime.map(|r| hycap::capacity_no_bs(r, exps)),
+            )],
+            (Some(r), false) => vec![component(
+                "capacity (clustered multihop)",
+                mob,
+                Some(hycap::capacity_no_bs(r, exps)),
+            )],
+            (Some(r @ MobilityRegime::Weak), true) => vec![component(
+                "capacity (scheme B by clusters)",
+                infra,
+                Some(hycap::capacity_with_bs(r, exps)),
+            )],
+            (Some(r @ MobilityRegime::Trivial), true) => vec![component(
+                "capacity (scheme C)",
+                infra,
+                Some(hycap::capacity_with_bs(r, exps)),
+            )],
+        };
+        RowResult {
+            label: self.label,
+            components,
+        }
+    }
+}
+
+/// One repetition's (mobility term, infrastructure term).
+type RepOut = (Option<f64>, Option<f64>);
+
+/// A ladder point's reps finished so far, each in its rep slot.
+type RepSlots = Mutex<Vec<Option<RepOut>>>;
+
+/// One unit of Table I work: repetition `rep` of ladder point `point` of
+/// row `row`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RepJob {
+    row: usize,
+    point: usize,
+    rep: usize,
+    cost: u64,
+}
+
+/// The dispatch plan for a batch of rows. `points[row][i]` is ladder point
+/// `i`'s estimated rep cost, or `None` when the point is already journaled
+/// (it then contributes no jobs). Every remaining (point, rep) appears
+/// exactly once, costliest first; ties keep row, ladder, then rep order.
+/// Dispatching the largest jobs first keeps every worker busy until the
+/// batch's end instead of leaving the costliest point to run alone.
+fn plan_rep_jobs(points: &[Vec<Option<u64>>], reps: usize) -> Vec<RepJob> {
+    let mut jobs: Vec<RepJob> = points
+        .iter()
+        .enumerate()
+        .flat_map(|(row, costs)| {
+            costs.iter().enumerate().flat_map(move |(point, cost)| {
+                (*cost).into_iter().flat_map(move |cost| {
+                    (0..reps).map(move |rep| RepJob {
+                        row,
+                        point,
+                        rep,
+                        cost,
+                    })
+                })
+            })
+        })
+        .collect();
+    // Stable: equal costs stay in (row, point, rep) order.
+    jobs.sort_by_key(|job| std::cmp::Reverse(job.cost));
+    jobs
+}
+
+/// Averages a point's positive rep measurements per term, folding in rep
+/// order (the summation order every Table I number was recorded with).
+fn fold_reps(reps: &[RepOut]) -> (f64, f64) {
+    let (mut acc_m, mut used_m, mut acc_i, mut used_i) = (0.0, 0usize, 0.0, 0usize);
+    for &(lm, li) in reps {
+        if let Some(l) = lm.filter(|&l| l > 0.0) {
+            acc_m += l;
+            used_m += 1;
+        }
+        if let Some(l) = li.filter(|&l| l > 0.0) {
+            acc_i += l;
+            used_i += 1;
+        }
+    }
+    let mean = |acc: f64, used: usize| if used > 0 { acc / used as f64 } else { 0.0 };
+    (mean(acc_m, used_m), mean(acc_i, used_i))
+}
+
+/// Stashes the first error of a batch so one failed store never costs the
+/// batch its measurements mid-flight; the error surfaces once every job
+/// has completed.
+fn stash_first(slot: &Mutex<Option<HycapError>>, e: HycapError) {
+    slot.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .get_or_insert(e);
+}
+
+fn take_stashed(slot: &Mutex<Option<HycapError>>) -> Option<HycapError> {
+    slot.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .take()
+}
+
+/// Runs `rows` as one batch on `pool`: one job per (ladder point,
+/// repetition) across every row, dispatched largest first. Each rep lands
+/// in its (point, rep) slot; the worker that completes a point's last rep
+/// folds the reps in rep order and journals the point, so every λ is
+/// bit-identical for any thread count or completion order, and a crash
+/// mid-batch keeps every finished point.
+fn run_table1_batch(
+    rows: Vec<RowPlan>,
     scale: Scale,
     seed: u64,
     pool: &WorkerPool,
     checkpoint: Option<&Arc<Checkpoint>>,
     cache: Option<&Arc<ResultCache>>,
-) -> Result<RowResult, HycapError> {
-    let ns = ladder_for(scale, &exps);
-    let slots = scale.slots();
-    let static_nodes = matches!(mobility, MobilityKind::Static);
-    let regime = if static_nodes {
-        exps.classify_with_excursion(f64::INFINITY).ok()
-    } else {
-        exps.classify().ok()
-    };
-    let reps = scale.reps();
-    // Cache-store failures are stashed here (first one wins) so a full
-    // disk never costs the row its measurements mid-flight; the error
-    // surfaces once the row completes, mirroring the journal funnel.
-    let cache_err: Arc<Mutex<Option<HycapError>>> = Arc::new(Mutex::new(None));
-    let stash = {
-        let slot = Arc::clone(&cache_err);
-        move |e: HycapError| {
-            slot.lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .get_or_insert(e);
-        }
-    };
-    let cache = cache.map(Arc::clone);
-    // Per ladder point: (mobility term, infrastructure term), averaged
-    // over positive reps.
-    let point = move |n: usize| {
-        let (mut acc_m, mut used_m, mut acc_i, mut used_i) = (0.0, 0usize, 0.0, 0usize);
-        for rep in 0..reps {
-            let seed = seed
-                .wrapping_add((n as u64) << 8)
-                .wrapping_add(rep as u64)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let (lm, li) = if regime == Some(MobilityRegime::Weak) && !with_bs {
-                // Corollary 3 row: clustered static multihop at the
-                // Lemma 10 connectivity range.
-                let lambda = match &cache {
-                    None => measure_clustered_no_bs(&exps, n, seed),
-                    Some(c) => {
-                        let key = clustered_cache_key(&exps, n, seed);
-                        match c.get(&key, |e| e.f64("lambda")) {
-                            Some(v) => v,
-                            None => {
-                                let v = measure_clustered_no_bs(&exps, n, seed);
-                                let mut entry = CacheEntry::new();
-                                entry.push_f64("lambda", v);
-                                if let Err(e) = c.put(&key, &entry) {
-                                    stash(e);
-                                }
-                                v
-                            }
-                        }
-                    }
-                };
-                (Some(lambda), None)
-            } else {
-                let sc = Scenario::builder(exps, n)
-                    .mobility(mobility)
-                    // 2x2 constant-area squarelets: the mobility radius is
-                    // a larger fraction of the squarelet at small n, which
-                    // shortens the finite-size transient of phase I/III.
-                    .scheme_b_cells(2)
-                    .seed(seed)
-                    .build_with_bs(with_bs);
-                let report = match &cache {
-                    None => sc.measure(slots),
-                    Some(c) => sc.measure_cached(slots, c).unwrap_or_else(|e| {
-                        stash(e);
-                        sc.measure(slots)
-                    }),
-                };
-                (report.lambda_mobility_typical, report.lambda_infra_typical)
-            };
-            if let Some(l) = lm.filter(|&l| l > 0.0) {
-                acc_m += l;
-                used_m += 1;
-            }
-            if let Some(l) = li.filter(|&l| l > 0.0) {
-                acc_i += l;
-                used_i += 1;
-            }
-        }
-        (
-            if used_m > 0 {
-                acc_m / used_m as f64
-            } else {
-                0.0
-            },
-            if used_i > 0 {
-                acc_i / used_i as f64
-            } else {
-                0.0
-            },
-        )
-    };
-    let measured: Vec<(f64, f64)> = match checkpoint {
-        None => pool.map(ns.clone(), point),
-        Some(ck) => {
-            let mut out: Vec<Option<(f64, f64)>> = ns
+) -> Result<Vec<RowResult>, HycapError> {
+    let (slots, reps) = (scale.slots(), scale.reps());
+    let mut measured: Vec<Vec<Option<(f64, f64)>>> = rows
+        .iter()
+        .map(|row| {
+            row.ns
                 .iter()
                 .map(|&n| {
-                    ck.lookup(&table1_point_key(label, n))
+                    checkpoint?
+                        .lookup(&table1_point_key(row.label, n))
                         .and_then(|bits| (bits.len() == 2).then(|| (bits[0], bits[1])))
                 })
-                .collect();
-            let missing_idx: Vec<usize> = (0..ns.len()).filter(|&i| out[i].is_none()).collect();
-            let missing_ns: Vec<usize> = missing_idx.iter().map(|&i| ns[i]).collect();
-            let journal_err: Arc<Mutex<Option<HycapError>>> = Arc::new(Mutex::new(None));
-            let ck2 = Arc::clone(ck);
-            let err2 = Arc::clone(&journal_err);
-            let fresh = pool.map(missing_ns, move |n| {
-                let value = point(n);
-                if let Err(e) = ck2.record(&table1_point_key(label, n), &[value.0, value.1]) {
-                    let mut slot = err2.lock().unwrap_or_else(|p| p.into_inner());
-                    slot.get_or_insert(e);
-                }
-                value
-            });
-            if let Some(e) = journal_err.lock().unwrap_or_else(|p| p.into_inner()).take() {
-                return Err(e);
-            }
-            for (&i, value) in missing_idx.iter().zip(fresh) {
-                out[i] = Some(value);
-            }
-            out.into_iter()
-                .map(|v| v.expect("every ladder point resolved"))
                 .collect()
-        }
-    };
-    let xs: Vec<f64> = ns.iter().map(|&n| n as f64).collect();
-    let component = |name: &'static str, lambdas: Vec<f64>, order: Option<hycap::Order>| {
-        let positive = lambdas.iter().filter(|&&l| l > 0.0).count();
-        let fit = (positive >= 2)
-            .then(|| fit_loglog(&xs, &lambdas).ok())
-            .flatten();
-        ComponentResult {
-            name,
-            ns: ns.clone(),
-            lambdas,
-            fit,
-            theory_exponent: order.map_or(f64::NAN, |o| o.poly),
-            theory_label: order.map_or_else(|| "(boundary)".into(), |o| o.to_string()),
-        }
-    };
-    let mob: Vec<f64> = measured.iter().map(|&(m, _)| m).collect();
-    let infra: Vec<f64> = measured.iter().map(|&(_, i)| i).collect();
-    let components = match (regime, with_bs) {
-        (Some(MobilityRegime::Strong), true) => vec![
-            component(
-                "mobility term (scheme A)",
-                mob,
-                Some(hycap::mobility_order(exps.alpha)),
-            ),
-            component(
-                "infrastructure term (scheme B)",
-                infra,
-                Some(hycap::infrastructure_order(exps.k_exp, exps.phi)),
-            ),
-        ],
-        (Some(MobilityRegime::Strong), false) | (None, _) => vec![component(
-            "capacity (scheme A)",
-            mob,
-            regime.map(|r| hycap::capacity_no_bs(r, &exps)),
-        )],
-        (Some(r), false) => vec![component(
-            "capacity (clustered multihop)",
-            mob,
-            Some(hycap::capacity_no_bs(r, &exps)),
-        )],
-        (Some(r @ MobilityRegime::Weak), true) => vec![component(
-            "capacity (scheme B by clusters)",
-            infra,
-            Some(hycap::capacity_with_bs(r, &exps)),
-        )],
-        (Some(r @ MobilityRegime::Trivial), true) => vec![component(
-            "capacity (scheme C)",
-            infra,
-            Some(hycap::capacity_with_bs(r, &exps)),
-        )],
-    };
-    if let Some(e) = cache_err
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .take()
-    {
+        })
+        .collect();
+    let costs: Vec<Vec<Option<u64>>> = rows
+        .iter()
+        .zip(&measured)
+        .map(|(row, done)| {
+            row.ns
+                .iter()
+                .zip(done)
+                .map(|(&n, done)| done.is_none().then(|| row.rep_cost(n)))
+                .collect()
+        })
+        .collect();
+    let jobs = plan_rep_jobs(&costs, reps);
+    let pending: Arc<Vec<Vec<RepSlots>>> = Arc::new(
+        rows.iter()
+            .map(|row| {
+                row.ns
+                    .iter()
+                    .map(|_| Mutex::new(vec![None; reps]))
+                    .collect()
+            })
+            .collect(),
+    );
+    let rows = Arc::new(rows);
+    let journal_err: Arc<Mutex<Option<HycapError>>> = Arc::new(Mutex::new(None));
+    let cache_err: Arc<Mutex<Option<HycapError>>> = Arc::new(Mutex::new(None));
+    let tasks: Vec<_> = jobs
+        .into_iter()
+        .map(|job| {
+            let (rows, pending) = (Arc::clone(&rows), Arc::clone(&pending));
+            let (journal_err, cache_err) = (Arc::clone(&journal_err), Arc::clone(&cache_err));
+            let checkpoint = checkpoint.map(Arc::clone);
+            let cache = cache.map(Arc::clone);
+            move || {
+                let row = &rows[job.row];
+                let n = row.ns[job.point];
+                let out = row.measure_rep(n, seed, job.rep, slots, cache.as_deref(), &cache_err);
+                let mut slot = pending[job.row][job.point]
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                slot[job.rep] = Some(out);
+                // Only the worker that fills a point's last slot goes on.
+                let done: Vec<RepOut> = slot.iter().copied().collect::<Option<_>>()?;
+                let value = fold_reps(&done);
+                if let Some(ck) = &checkpoint {
+                    if let Err(e) = ck.record(&table1_point_key(row.label, n), &[value.0, value.1])
+                    {
+                        stash_first(&journal_err, e);
+                    }
+                }
+                Some((job.row, job.point, value))
+            }
+        })
+        .collect();
+    for (row, point, value) in pool.run(tasks).into_iter().flatten() {
+        measured[row][point] = Some(value);
+    }
+    if let Some(e) = take_stashed(&journal_err).or_else(|| take_stashed(&cache_err)) {
         return Err(e);
     }
-    Ok(RowResult { label, components })
+    Ok(rows
+        .iter()
+        .zip(measured)
+        .map(|(row, points)| {
+            let points: Vec<(f64, f64)> = points
+                .into_iter()
+                .map(|v| v.expect("every ladder point resolved"))
+                .collect();
+            row.result(&points)
+        })
+        .collect())
 }
 
 /// Runs all five Table I rows on one shared worker pool.
@@ -443,7 +588,8 @@ pub fn run_table1(scale: Scale, seed: u64) -> Vec<RowResult> {
 /// [`run_table1`] with an optional result cache threaded through every
 /// row: ladder points already stored under the current engine version
 /// are served bit-identically instead of recomputed, so a warm rerun of
-/// the whole table costs only directory reads.
+/// the whole table costs only directory reads. All five rows' jobs go to
+/// the pool as one batch, so no row waits at another row's barrier.
 ///
 /// # Errors
 ///
@@ -455,14 +601,11 @@ pub fn run_table1_cached(
     cache: Option<&Arc<ResultCache>>,
 ) -> Result<Vec<RowResult>, HycapError> {
     let pool = WorkerPool::new(WorkerPool::default_threads());
-    table1_exponents()
+    let rows = table1_exponents()
         .into_iter()
-        .map(|(label, exps, with_bs, mobility)| {
-            run_table1_row_cached(
-                label, exps, with_bs, mobility, scale, seed, &pool, None, cache,
-            )
-        })
-        .collect()
+        .map(|(label, exps, with_bs, mobility)| RowPlan::new(label, exps, with_bs, mobility, scale))
+        .collect();
+    run_table1_batch(rows, scale, seed, &pool, None, cache)
 }
 
 /// Picks a ladder whose points make the family's realized parameters
@@ -702,6 +845,40 @@ mod tests {
     }
 
     #[test]
+    fn journaled_point_is_served_and_the_rest_computed() {
+        let (label, exps, with_bs, mobility) = table1_exponents()[0];
+        let pool = WorkerPool::new(2);
+        let plain = run_table1_row(label, exps, with_bs, mobility, Scale::Smoke, 11, &pool);
+        let dir = std::env::temp_dir().join(format!("hycap-bench-part-{}", std::process::id()));
+        let path = dir.join("row.jsonl");
+        let digest = hycap_sim::scenario_digest(&[label, "scale=smoke", "seed=11"]);
+        let ck = Arc::new(Checkpoint::create(&path, &digest).unwrap());
+        // A sentinel no measurement produces: if the journaled point were
+        // recomputed, its λ would not come back as 0.5.
+        let ns = &plain.components[0].ns;
+        ck.record(&table1_point_key(label, ns[0]), &[0.5, 0.0])
+            .unwrap();
+        let row = run_table1_row_checkpointed(
+            label,
+            exps,
+            with_bs,
+            mobility,
+            Scale::Smoke,
+            11,
+            &pool,
+            Some(&ck),
+        )
+        .unwrap();
+        let got = &row.components[0].lambdas;
+        assert_eq!(got[0], 0.5, "journaled point must not be recomputed");
+        for (a, b) in plain.components[0].lambdas.iter().zip(got).skip(1) {
+            assert_eq!(a.to_bits(), b.to_bits(), "fresh points must match");
+        }
+        assert_eq!(ck.completed(), ns.len(), "the fresh point is journaled");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn cached_rows_are_bit_identical_and_warm_runs_hit() {
         let pool = WorkerPool::new(2);
         let dir = std::env::temp_dir().join(format!("hycap-bench-cache-{}", std::process::id()));
@@ -755,6 +932,127 @@ mod tests {
         assert_eq!(stats.misses, stats.stores, "every miss stores an entry");
         assert_eq!(stats.hits, stats.misses, "warm runs hit every key");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn rep_job_plan_covers_every_point_rep_once() {
+        let points = vec![
+            vec![Some(256), Some(625), Some(1296)],
+            vec![Some(0), Some(0)],
+            vec![Some(2 * 243), Some(2 * 3125)],
+        ];
+        let reps = 3;
+        let jobs = plan_rep_jobs(&points, reps);
+        let mut seen: Vec<(usize, usize, usize)> =
+            jobs.iter().map(|j| (j.row, j.point, j.rep)).collect();
+        seen.sort_unstable();
+        let mut expect = Vec::new();
+        for (row, costs) in points.iter().enumerate() {
+            for point in 0..costs.len() {
+                for rep in 0..reps {
+                    expect.push((row, point, rep));
+                }
+            }
+        }
+        assert_eq!(seen, expect, "every (point, rep) exactly once");
+        for job in &jobs {
+            assert_eq!(Some(job.cost), points[job.row][job.point]);
+        }
+    }
+
+    #[test]
+    fn rep_job_plan_is_largest_first_with_ladder_then_rep_ties() {
+        // Row 0 and row 2 tie at cost 1000; row 1 is analytic (cost 0).
+        let points = vec![
+            vec![Some(200), Some(1000), Some(400)],
+            vec![Some(0), Some(0)],
+            vec![Some(1000), Some(5000)],
+        ];
+        let jobs = plan_rep_jobs(&points, 2);
+        for pair in jobs.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            assert!(a.cost >= b.cost, "cost rose: {a:?} then {b:?}");
+            if a.cost == b.cost {
+                assert!(
+                    (a.row, a.point, a.rep) < (b.row, b.point, b.rep),
+                    "tie out of row/ladder/rep order: {a:?} then {b:?}"
+                );
+            }
+        }
+        let order: Vec<(usize, usize, usize)> =
+            jobs.iter().map(|j| (j.row, j.point, j.rep)).collect();
+        assert_eq!(
+            &order[..6],
+            &[
+                (2, 1, 0),
+                (2, 1, 1),
+                (0, 1, 0),
+                (0, 1, 1),
+                (2, 0, 0),
+                (2, 0, 1)
+            ]
+        );
+        assert_eq!(&order[10..], &[(1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)]);
+    }
+
+    #[test]
+    fn journaled_points_emit_no_jobs() {
+        let points = vec![vec![Some(81), None, Some(625)], vec![None, None]];
+        let jobs = plan_rep_jobs(&points, 4);
+        assert_eq!(jobs.len(), 2 * 4);
+        assert!(jobs.iter().all(|j| j.row == 0 && j.point != 1));
+        assert!(plan_rep_jobs(&[vec![None, None]], 3).is_empty());
+    }
+
+    #[test]
+    fn fold_ignores_completion_order() {
+        // Values whose sum depends on association order, plus a zero and
+        // an absent term that must not count as used reps.
+        let reps: Vec<RepOut> = vec![
+            (Some(0.1), Some(1e-17)),
+            (Some(0.2), None),
+            (Some(0.3), Some(0.0)),
+        ];
+        let in_order = fold_reps(&reps);
+        // Workers finish reps 2, 1, 0; each lands in its rep slot.
+        let mut slots: Vec<Option<RepOut>> = vec![None; 3];
+        for rep in [2, 1, 0] {
+            slots[rep] = Some(reps[rep]);
+        }
+        let landed: Vec<RepOut> = slots.into_iter().map(Option::unwrap).collect();
+        let shuffled = fold_reps(&landed);
+        assert_eq!(in_order.0.to_bits(), shuffled.0.to_bits());
+        assert_eq!(in_order.1.to_bits(), shuffled.1.to_bits());
+        // The in-order fold is the left-to-right sum the rep loop made.
+        assert_eq!(in_order.0.to_bits(), ((0.1 + 0.2 + 0.3) / 3.0f64).to_bits());
+        assert_eq!(in_order.1.to_bits(), 1e-17f64.to_bits());
+        // Completion-order summation would differ, so the slotting matters.
+        assert_ne!(
+            (0.3 + 0.2 + 0.1f64).to_bits(),
+            (0.1 + 0.2 + 0.3f64).to_bits()
+        );
+        assert_eq!(fold_reps(&[(None, Some(-1.0))]), (0.0, 0.0));
+    }
+
+    #[test]
+    fn smoke_row_is_bit_identical_across_pool_sizes() {
+        // The two-component row: both terms fold from the same reps.
+        let (label, exps, with_bs, mobility) = table1_exponents()[1];
+        let run = |threads: usize| {
+            let pool = WorkerPool::new(threads);
+            run_table1_row(label, exps, with_bs, mobility, Scale::Smoke, 11, &pool)
+        };
+        let bits = |row: &RowResult| -> Vec<u64> {
+            row.components
+                .iter()
+                .flat_map(|c| c.lambdas.iter().map(|l| l.to_bits()))
+                .collect()
+        };
+        let one = bits(&run(1));
+        assert_eq!(one.len(), 2 * 2);
+        for threads in [2, 3] {
+            assert_eq!(bits(&run(threads)), one, "{threads} threads");
+        }
     }
 
     #[test]

@@ -586,7 +586,19 @@ impl SpatialHash {
             }
         }
         if churn * CHURN_FALLBACK_DENOM > points.len() {
-            self.rebuild(points, max_radius);
+            // Full counting sort, but counted from the cells pass 1 just
+            // computed: i.i.d. mobility lands here every slot, and a
+            // `rebuild` would compute every point's cell a second time.
+            std::mem::swap(&mut self.cell_scratch, &mut self.next_cells);
+            self.points.clear();
+            self.points.extend_from_slice(points);
+            self.starts.clear();
+            self.starts.resize(cell_count + 1, 0);
+            for &c in &self.cell_scratch {
+                self.starts[c as usize + 1] += 1;
+            }
+            self.place::<false>(points);
+            self.last_rebuild = RebuildKind::Full;
             return RebuildKind::Full;
         }
         let kind = if churn == 0 {
@@ -1388,6 +1400,19 @@ mod tests {
         assert_eq!(kind, RebuildKind::Full);
         assert_eq!(hash.last_rebuild(), RebuildKind::Full);
         assert_same_layout(&hash, &SpatialHash::build(&teleported, radius));
+    }
+
+    #[test]
+    fn repeated_full_churn_updates_match_fresh_builds() {
+        // i.i.d. mobility: every slot is a fresh draw, so every update takes
+        // the churn fallback and reuses the swapped cell buffers.
+        let radius = 0.05;
+        let mut hash = SpatialHash::build(&random_points(400, 51), radius);
+        for slot in 0..5 {
+            let pts = random_points(400, 52 + slot);
+            assert_eq!(hash.update(&pts, radius), RebuildKind::Full);
+            assert_same_layout(&hash, &SpatialHash::build(&pts, radius));
+        }
     }
 
     #[test]
