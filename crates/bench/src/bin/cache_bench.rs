@@ -31,7 +31,7 @@ use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
 use hycap_obs::Observer;
 use hycap_routing::{SchemeAPlan, TrafficMatrix};
 use hycap_sim::{
-    scenario_digest, CacheEntry, FaultSchedule, FluidEngine, HybridNetwork, OutagePolicy,
+    scenario_digest, CacheEntry, FaultSchedule, FluidEngine, FluidRun, HybridNetwork, OutagePolicy,
     ResultCache,
 };
 use rand::rngs::StdRng;
@@ -135,13 +135,16 @@ fn degraded_lambda_cached(
     if let Some(lambda) = cache.get(&key, |e| e.f64("lambda")) {
         return (lambda, true);
     }
-    let degraded = FluidEngine::default()
-        .measure_scheme_a_with_faults_ctr(net, plan, slots, schedule, OutagePolicy::RadioOff, SEED)
-        .expect("degraded measure");
+    let run = FluidRun::counter(net, plan, slots, SEED).faults(schedule, OutagePolicy::RadioOff);
+    let lambda = FluidEngine::default()
+        .measure(run, &mut Observer::noop())
+        .expect("degraded measure")
+        .into_base()
+        .lambda;
     let mut entry = CacheEntry::new();
-    entry.push_f64("lambda", degraded.base.lambda);
+    entry.push_f64("lambda", lambda);
     cache.put(&key, &entry).expect("cache store");
-    (degraded.base.lambda, false)
+    (lambda, false)
 }
 
 struct FaultEdit {
@@ -236,18 +239,23 @@ fn schedule_memo_speedup(n: usize, slots: usize) -> MemoRow {
 
     let memo_on = FluidEngine::default();
     let memo_off = memo_on.without_schedule_memo();
+    let counter = |engine: FluidEngine, slots: usize| {
+        engine
+            .measure(
+                FluidRun::counter(&net, &plan, slots, SEED),
+                &mut Observer::noop(),
+            )
+            .unwrap()
+            .into_base()
+    };
     // Warm-up outside the timed region.
-    let _ = memo_on.measure_scheme_a_ctr(&net, &plan, 4, SEED).unwrap();
+    let _ = counter(memo_on, 4);
 
     let start = Instant::now();
-    let on = memo_on
-        .measure_scheme_a_ctr(&net, &plan, slots, SEED)
-        .unwrap();
+    let on = counter(memo_on, slots);
     let on_seconds = start.elapsed().as_secs_f64();
     let start = Instant::now();
-    let off = memo_off
-        .measure_scheme_a_ctr(&net, &plan, slots, SEED)
-        .unwrap();
+    let off = counter(memo_off, slots);
     let off_seconds = start.elapsed().as_secs_f64();
 
     assert_eq!(

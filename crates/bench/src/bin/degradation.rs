@@ -16,8 +16,9 @@
 use hycap_bench::report;
 use hycap_infra::BaseStations;
 use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
+use hycap_obs::Observer;
 use hycap_routing::{SchemeBPlan, TrafficMatrix};
-use hycap_sim::{FaultInjector, FaultSchedule, FluidEngine, HybridNetwork, OutagePolicy};
+use hycap_sim::{FaultSchedule, FluidEngine, FluidRun, HybridNetwork, OutagePolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -61,17 +62,12 @@ fn measure(c: f64, dead: usize, slots: usize, seed: u64) -> (usize, f64, f64) {
     let plan = SchemeBPlan::build(&homes, &traffic, &bs, CELLS);
     let mut net = HybridNetwork::with_infrastructure(pop, bs);
     let schedule = kill_schedule(&plan, dead);
-    let mut injector = FaultInjector::new(K, &schedule).expect("valid schedule");
-    let report = FluidEngine::default()
-        .measure_scheme_b_with_faults(
-            &mut net,
-            &plan,
-            slots,
-            &mut injector,
-            OutagePolicy::OccupySpectrum,
-            &mut rng,
-        )
+    let run = FluidRun::walk(&mut net, &plan, slots, &mut rng)
+        .faults(&schedule, OutagePolicy::OccupySpectrum);
+    let outcome = FluidEngine::default()
+        .measure(run, &mut Observer::noop())
         .expect("measurement");
+    let report = outcome.degraded();
     (
         K - dead,
         report.base.lambda_typical,

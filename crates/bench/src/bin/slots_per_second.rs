@@ -13,8 +13,9 @@
 use hycap_bench::report;
 use hycap_infra::BaseStations;
 use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
+use hycap_obs::Observer;
 use hycap_routing::{SchemeAPlan, TrafficMatrix};
-use hycap_sim::{FluidEngine, FluidReport, HybridNetwork, WorkerPool};
+use hycap_sim::{FluidEngine, FluidReport, FluidRun, HybridNetwork, WorkerPool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
@@ -57,14 +58,14 @@ fn run_config(
 ) -> (FluidReport, f64) {
     let engine = FluidEngine::default();
     let pool = WorkerPool::new(threads);
+    let run = |slots| {
+        let run = FluidRun::counter(net, plan, slots, SLOT_SEED).pool(&pool);
+        engine.measure(run, &mut Observer::noop())
+    };
     // Warm the pool threads before timing.
-    let _ = engine
-        .measure_scheme_a_par(net, plan, slots.min(8), SLOT_SEED, &pool)
-        .expect("warm-up run");
+    let _ = run(slots.min(8)).expect("warm-up run");
     let start = Instant::now();
-    let report = engine
-        .measure_scheme_a_par(net, plan, slots, SLOT_SEED, &pool)
-        .expect("timed run");
+    let report = run(slots).expect("timed run").into_base();
     (report, start.elapsed().as_secs_f64())
 }
 

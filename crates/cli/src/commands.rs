@@ -2,15 +2,15 @@
 //! is unit-testable without capturing stdout.
 
 use crate::args::{ArgError, Args};
-use hycap::obs::Snapshot;
+use hycap::obs::{Observer, Snapshot};
 use hycap::{theory as laws, MobilityRegime, ModelExponents, Realization, Scenario};
 use hycap_errors::HycapError;
 use hycap_mobility::MobilityKind;
 use hycap_routing::SchemeBPlan;
 use hycap_sim::{
     fit_loglog, geometric_ns, load_ladder, scenario_digest, Checkpoint, FaultSchedule,
-    FlowRunStats, FlowSizes, FlowWorkload, FluidEngine, OutagePolicy, PacingTrace, PacketEngine,
-    ResultCache, WorkerPool,
+    FlowRunStats, FlowSizes, FlowWorkload, FluidEngine, FluidRun, OutagePolicy, PacingTrace,
+    PacketEngine, ResultCache, WorkerPool,
 };
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -666,27 +666,27 @@ pub fn degrade(args: &Args) -> CmdResult {
     let metrics = metrics_path(args)?;
     let pool = worker_pool(args)?;
     let seed: u64 = args.get_or("seed", 0)?;
-    let mut merged = Snapshot::default();
-    // Fault-free baseline from the same counter streams: the par engines
+    // Fault-free baseline from the same counter streams: counter runs
     // never mutate the network, so one realization serves both runs.
-    let baseline = if metrics.is_some() {
-        let (baseline, snapshot) =
-            engine.measure_scheme_b_par_observed(&net, &plan, slots, seed, &pool)?;
-        merged.merge(&snapshot);
-        baseline
-    } else {
-        engine.measure_scheme_b_par(&net, &plan, slots, seed, &pool)?
+    let measure = |run: FluidRun<'_>| {
+        if metrics.is_some() {
+            engine.measure(run, &mut Observer::recording().with_probes())
+        } else {
+            engine.measure(run, &mut Observer::noop())
+        }
     };
-    let report = if metrics.is_some() {
-        let (report, snapshot) = engine.measure_scheme_b_with_faults_par_observed(
-            &net, &plan, slots, &schedule, policy, seed, &pool,
-        )?;
-        merged.merge(&snapshot);
-        report
-    } else {
-        engine
-            .measure_scheme_b_with_faults_par(&net, &plan, slots, &schedule, policy, seed, &pool)?
-    };
+    let counter = || FluidRun::counter(&net, &plan, slots, seed).pool(&pool);
+    let baseline = measure(counter())?;
+    let faulted = measure(counter().faults(&schedule, policy))?;
+    let mut merged = Snapshot::default();
+    for snapshot in [&baseline.snapshot, &faulted.snapshot]
+        .into_iter()
+        .flatten()
+    {
+        merged.merge(snapshot);
+    }
+    let baseline = baseline.into_base();
+    let report = faulted.report.into_complete("the degrade command")?;
     let mut out = String::new();
     writeln!(
         out,

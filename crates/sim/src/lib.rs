@@ -14,8 +14,8 @@
 //! * [`sweep`] — geometric `n` ladders, log–log exponent fits and an
 //!   order-preserving parallel driver, used by every Table-I / Figure-3
 //!   experiment.
-//! * [`WorkerPool`] — a persistent worker pool backing the slot-sharded
-//!   fluid entry points, [`PacketEngine::run_replications`] and the bench
+//! * [`WorkerPool`] — a persistent worker pool backing slot-sharded fluid
+//!   runs ([`FluidRun::pool`]), [`PacketEngine::run_replications`] and the bench
 //!   drivers; combined with counter-based mobility streams
 //!   (`hycap_mobility::SlotRng`), measurements are bit-identical at any
 //!   thread count.
@@ -33,7 +33,8 @@
 //! ```
 //! use hycap_mobility::{Kernel, Population, PopulationConfig};
 //! use hycap_routing::{SchemeAPlan, TrafficMatrix};
-//! use hycap_sim::{FluidEngine, HybridNetwork};
+//! use hycap_sim::obs::Observer;
+//! use hycap_sim::{FluidEngine, FluidRun, HybridNetwork};
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
@@ -43,8 +44,9 @@
 //! let traffic = TrafficMatrix::permutation(300, &mut rng);
 //! let plan = SchemeAPlan::build(&homes, &traffic, 300f64.powf(0.25));
 //! let mut net = HybridNetwork::ad_hoc(pop);
-//! let report = FluidEngine::default().measure_scheme_a(&mut net, &plan, 100, &mut rng);
-//! assert!(report.lambda >= 0.0);
+//! let run = FluidRun::walk(&mut net, &plan, 100, &mut rng);
+//! let outcome = FluidEngine::default().measure(run, &mut Observer::noop()).unwrap();
+//! assert!(outcome.into_base().lambda >= 0.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -71,7 +73,10 @@ pub use faults::{FaultEvent, FaultInjector, FaultSchedule, FaultTally, OutagePol
 pub use flows::{
     ArrivalProcess, DegradedFlowStats, FlowRunStats, FlowSizes, FlowSpec, FlowWorkload,
 };
-pub use fluid::{Bottleneck, DegradedFluidReport, FluidEngine, FluidReport, TwoHopReport};
+pub use fluid::{
+    Bottleneck, DegradedFluidReport, FluidEngine, FluidOutcome, FluidPlan, FluidReport, FluidRun,
+    TwoHopReport,
+};
 pub use packet::{DegradedPacketStats, Pacing, PacingTrace, PacketEngine, PacketStats};
 pub use pool::{JobPanic, WorkerPool};
 pub use sweep::{
@@ -80,6 +85,7 @@ pub use sweep::{
 };
 
 /// Re-export of the observability crate so downstream code can construct
-/// [`hycap_obs::Observer`]s for the `*_observed` engine entry points
+/// [`hycap_obs::Observer`]s for [`FluidEngine::measure`] and the
+/// `*_observed` packet-engine entry points
 /// without naming `hycap-obs` directly.
 pub use hycap_obs as obs;

@@ -1,16 +1,21 @@
 //! Thread-count determinism of the slot-sharded fluid engines.
 //!
 //! The contract under test: for every scheme (A, B), fault-free and
-//! faulted, the `_par` entry points produce **bit-identical** reports and
-//! merged metrics snapshots at 1, 2, 4 and 7 worker threads, and all of
-//! them equal the single-threaded counter-based `_ctr` reference. This is
-//! what makes `--threads` a pure throughput knob: parallelism can never
-//! change a measured number.
+//! faulted, counter runs sharded on a pool produce **bit-identical**
+//! reports and merged metrics snapshots at 1, 2, 4 and 7 worker threads,
+//! and all of them equal the inline (one-chunk) counter run. Streamed runs,
+//! which build the spatial index chunk by chunk instead of indexing a
+//! materialized snapshot, equal it too. This is what makes `--threads` a
+//! pure throughput knob: parallelism can never change a measured number.
 
 use hycap_infra::BaseStations;
 use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
+use hycap_obs::Observer;
 use hycap_routing::{SchemeAPlan, SchemeBPlan, TrafficMatrix};
-use hycap_sim::{FaultSchedule, FluidEngine, HybridNetwork, OutagePolicy, WorkerPool};
+use hycap_sim::{
+    DegradedFluidReport, FaultSchedule, FluidEngine, FluidPlan, FluidRun, HybridNetwork,
+    OutagePolicy, WorkerPool,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -49,291 +54,138 @@ fn faulty_schedule() -> FaultSchedule {
         .with_bernoulli_bs_outage(0.02, 7)
 }
 
-#[test]
-fn scheme_a_par_bit_identical_across_thread_counts() {
-    let slots = 200;
-    let (net, _, plan) = hybrid_setup(200, 16, 2);
-    let engine = FluidEngine::default();
-    let (reference, ref_snap) = engine
-        .measure_scheme_a_ctr_observed(&net, &plan, slots, SLOT_SEED)
+/// A run measured under a recording observer: the report with its fault
+/// accounting, and the merged snapshot JSON.
+fn observed(run: FluidRun<'_>) -> (DegradedFluidReport, String) {
+    let outcome = FluidEngine::default()
+        .measure(run, &mut Observer::recording().with_probes())
         .unwrap();
-    let ref_json = ref_snap.to_json();
-    for threads in THREADS {
-        let pool = WorkerPool::new(threads);
-        let (report, snap) = engine
-            .measure_scheme_a_par_observed(&net, &plan, slots, SLOT_SEED, &pool)
-            .unwrap();
-        assert_eq!(report, reference, "report drifted at {threads} threads");
-        assert_eq!(
-            report.lambda.to_bits(),
-            reference.lambda.to_bits(),
-            "lambda bits drifted at {threads} threads"
-        );
-        assert_eq!(
-            report.lambda_typical.to_bits(),
-            reference.lambda_typical.to_bits()
-        );
-        assert_eq!(
-            snap.to_json(),
-            ref_json,
-            "snapshot drifted at {threads} threads"
-        );
+    let snapshot = outcome.snapshot.as_ref().expect("observed run").to_json();
+    (outcome.degraded().clone(), snapshot)
+}
+
+/// Bit-identity of two observed runs: reports (including the float bits
+/// and fault accounting) and snapshot bytes.
+fn assert_same(
+    got: &(DegradedFluidReport, String),
+    want: &(DegradedFluidReport, String),
+    what: &str,
+) {
+    let (g, w) = (&got.0, &want.0);
+    assert_eq!(g, w, "report drifted: {what}");
+    assert_eq!(g.base.lambda.to_bits(), w.base.lambda.to_bits(), "{what}");
+    assert_eq!(
+        g.base.lambda_typical.to_bits(),
+        w.base.lambda_typical.to_bits(),
+        "{what}"
+    );
+    assert_eq!(g.k_alive_mean.to_bits(), w.k_alive_mean.to_bits(), "{what}");
+    assert_eq!(got.1, want.1, "snapshot drifted: {what}");
+}
+
+/// The fault settings every comparison runs under.
+fn fault_cases() -> [Option<OutagePolicy>; 3] {
+    [
+        None,
+        Some(OutagePolicy::RadioOff),
+        Some(OutagePolicy::OccupySpectrum),
+    ]
+}
+
+fn with_faults<'a>(
+    run: FluidRun<'a>,
+    schedule: &'a FaultSchedule,
+    policy: Option<OutagePolicy>,
+) -> FluidRun<'a> {
+    match policy {
+        Some(policy) => run.faults(schedule, policy),
+        None => run,
     }
 }
 
 #[test]
-fn scheme_b_par_bit_identical_across_thread_counts() {
+fn counter_runs_bit_identical_across_thread_counts() {
     let slots = 200;
-    let (net, plan, _) = hybrid_setup(200, 16, 2);
-    let engine = FluidEngine::default();
-    let (reference, ref_snap) = engine
-        .measure_scheme_b_ctr_observed(&net, &plan, slots, SLOT_SEED)
-        .unwrap();
-    let ref_json = ref_snap.to_json();
-    for threads in THREADS {
-        let pool = WorkerPool::new(threads);
-        let (report, snap) = engine
-            .measure_scheme_b_par_observed(&net, &plan, slots, SLOT_SEED, &pool)
-            .unwrap();
-        assert_eq!(report, reference, "report drifted at {threads} threads");
-        assert_eq!(report.lambda.to_bits(), reference.lambda.to_bits());
-        assert_eq!(
-            snap.to_json(),
-            ref_json,
-            "snapshot drifted at {threads} threads"
-        );
-    }
-}
-
-#[test]
-fn faulted_scheme_a_par_bit_identical_across_thread_counts() {
-    let slots = 200;
-    let (net, _, plan) = hybrid_setup(200, 16, 2);
-    let engine = FluidEngine::default();
+    let (net, plan_b, plan_a) = hybrid_setup(200, 16, 2);
     let schedule = faulty_schedule();
-    for policy in [OutagePolicy::RadioOff, OutagePolicy::OccupySpectrum] {
-        let (reference, ref_snap) = engine
-            .measure_scheme_a_with_faults_ctr_observed(
-                &net, &plan, slots, &schedule, policy, SLOT_SEED,
-            )
-            .unwrap();
-        let ref_json = ref_snap.to_json();
-        for threads in THREADS {
-            let pool = WorkerPool::new(threads);
-            let (report, snap) = engine
-                .measure_scheme_a_with_faults_par_observed(
-                    &net, &plan, slots, &schedule, policy, SLOT_SEED, &pool,
+    let plans: [(&str, FluidPlan<'_>); 2] = [("A", (&plan_a).into()), ("B", (&plan_b).into())];
+    for (scheme, plan) in plans {
+        for policy in fault_cases() {
+            let counter = || {
+                with_faults(
+                    FluidRun::counter(&net, plan, slots, SLOT_SEED),
+                    &schedule,
+                    policy,
                 )
-                .unwrap();
-            assert_eq!(
-                report.base, reference.base,
-                "base report drifted at {threads} threads ({policy:?})"
-            );
-            assert_eq!(
-                report.base.lambda.to_bits(),
-                reference.base.lambda.to_bits()
-            );
-            assert_eq!(
-                report.k_alive_mean.to_bits(),
-                reference.k_alive_mean.to_bits()
-            );
-            assert_eq!(report.outage_slots, reference.outage_slots);
-            assert_eq!(report.tally, reference.tally);
-            assert_eq!(
-                snap.to_json(),
-                ref_json,
-                "snapshot drifted at {threads} threads ({policy:?})"
-            );
+            };
+            let reference = observed(counter());
+            for threads in THREADS {
+                let pool = WorkerPool::new(threads);
+                let what = format!("scheme {scheme} at {threads} threads ({policy:?})");
+                assert_same(&observed(counter().pool(&pool)), &reference, &what);
+            }
         }
     }
 }
 
+/// Streamed runs never materialize the full snapshot, yet must reproduce
+/// the materialized counter run bit for bit — reports *and* metrics
+/// snapshots — for both schemes, fault-free at several chunk sizes
+/// (smaller than, equal to and larger than the node count) and under both
+/// outage policies.
 #[test]
-fn faulted_scheme_b_par_bit_identical_across_thread_counts() {
-    let slots = 200;
-    let (net, plan, _) = hybrid_setup(200, 16, 2);
-    let engine = FluidEngine::default();
+fn streamed_bit_identical_to_counter() {
+    let slots = 150;
+    let (net, plan_b, plan_a) = hybrid_setup(200, 16, 2);
     let schedule = faulty_schedule();
-    for policy in [OutagePolicy::RadioOff, OutagePolicy::OccupySpectrum] {
-        let (reference, ref_snap) = engine
-            .measure_scheme_b_with_faults_ctr_observed(
-                &net, &plan, slots, &schedule, policy, SLOT_SEED,
-            )
-            .unwrap();
-        let ref_json = ref_snap.to_json();
-        for threads in THREADS {
-            let pool = WorkerPool::new(threads);
-            let (report, snap) = engine
-                .measure_scheme_b_with_faults_par_observed(
-                    &net, &plan, slots, &schedule, policy, SLOT_SEED, &pool,
-                )
-                .unwrap();
-            assert_eq!(
-                report.base, reference.base,
-                "base report drifted at {threads} threads ({policy:?})"
-            );
-            assert_eq!(
-                report.base.lambda.to_bits(),
-                reference.base.lambda.to_bits()
-            );
-            assert_eq!(
-                report.k_alive_mean.to_bits(),
-                reference.k_alive_mean.to_bits()
-            );
-            assert_eq!(report.outage_slots, reference.outage_slots);
-            assert_eq!(report.infra_flows, reference.infra_flows);
-            assert_eq!(report.fallback_flows, reference.fallback_flows);
-            assert_eq!(report.dead_groups, reference.dead_groups);
-            assert_eq!(report.tally, reference.tally);
-            assert_eq!(
-                snap.to_json(),
-                ref_json,
-                "snapshot drifted at {threads} threads ({policy:?})"
-            );
+    let plans: [(&str, FluidPlan<'_>); 2] = [("A", (&plan_a).into()), ("B", (&plan_b).into())];
+    for (scheme, plan) in plans {
+        for policy in fault_cases() {
+            let reference = observed(with_faults(
+                FluidRun::counter(&net, plan, slots, SLOT_SEED),
+                &schedule,
+                policy,
+            ));
+            let chunks: &[usize] = if policy.is_none() {
+                &[1, 37, 216, 4096]
+            } else {
+                &[64]
+            };
+            for &chunk in chunks {
+                let streamed = FluidRun::streamed(&net, plan, slots, SLOT_SEED, chunk);
+                let what = format!("scheme {scheme} at chunk {chunk} ({policy:?})");
+                assert_same(
+                    &observed(with_faults(streamed, &schedule, policy)),
+                    &reference,
+                    &what,
+                );
+            }
         }
     }
 }
 
+/// An empty fault schedule takes the fault-free path, sharded or streamed.
 #[test]
-fn empty_schedule_faulted_par_matches_fault_free_par() {
+fn empty_schedule_matches_fault_free() {
     let slots = 150;
     let (net, plan, _) = hybrid_setup(200, 16, 2);
-    let engine = FluidEngine::default();
+    let empty = FaultSchedule::empty();
     let pool = WorkerPool::new(3);
-    let plain = engine
-        .measure_scheme_b_par(&net, &plan, slots, SLOT_SEED, &pool)
-        .unwrap();
-    let faulted = engine
-        .measure_scheme_b_with_faults_par(
-            &net,
-            &plan,
-            slots,
-            &FaultSchedule::empty(),
-            OutagePolicy::RadioOff,
-            SLOT_SEED,
-            &pool,
-        )
-        .unwrap();
-    assert_eq!(faulted.base, plain);
-    assert_eq!(faulted.k_alive_mean, 16.0);
-    assert_eq!(faulted.outage_slots, 0);
-    assert_eq!(faulted.tally.scripted_total(), 0);
-}
-
-/// The streamed engines (PR 8) never materialize the full snapshot, yet
-/// must reproduce the fully materialized `_ctr` reference bit for bit —
-/// reports *and* metrics snapshots — for both schemes, fault-free, at
-/// several chunk sizes (including chunks smaller, equal to and larger than
-/// the node count).
-#[test]
-fn streamed_bit_identical_to_ctr_fault_free() {
-    let slots = 150;
-    let chunks = [1usize, 37, 216, 4096];
-    let (net, plan_b, plan_a) = hybrid_setup(200, 16, 2);
-    let engine = FluidEngine::default();
-    let (ref_a, ref_a_snap) = engine
-        .measure_scheme_a_ctr_observed(&net, &plan_a, slots, SLOT_SEED)
-        .unwrap();
-    let (ref_b, ref_b_snap) = engine
-        .measure_scheme_b_ctr_observed(&net, &plan_b, slots, SLOT_SEED)
-        .unwrap();
-    for chunk in chunks {
-        let (a, a_snap) = engine
-            .measure_scheme_a_streamed_observed(&net, &plan_a, slots, SLOT_SEED, chunk)
-            .unwrap();
-        assert_eq!(a, ref_a, "scheme A report drifted at chunk {chunk}");
-        assert_eq!(a.lambda.to_bits(), ref_a.lambda.to_bits());
-        assert_eq!(a.lambda_typical.to_bits(), ref_a.lambda_typical.to_bits());
-        assert_eq!(
-            a_snap.to_json(),
-            ref_a_snap.to_json(),
-            "scheme A snapshot drifted at chunk {chunk}"
-        );
-        let (b, b_snap) = engine
-            .measure_scheme_b_streamed_observed(&net, &plan_b, slots, SLOT_SEED, chunk)
-            .unwrap();
-        assert_eq!(b, ref_b, "scheme B report drifted at chunk {chunk}");
-        assert_eq!(b.lambda.to_bits(), ref_b.lambda.to_bits());
-        assert_eq!(
-            b_snap.to_json(),
-            ref_b_snap.to_json(),
-            "scheme B snapshot drifted at chunk {chunk}"
-        );
-    }
-}
-
-/// Streamed == ctr under faults too, for both outage policies: same base
-/// report, fault statistics, tallies and snapshots.
-#[test]
-fn streamed_bit_identical_to_ctr_faulted() {
-    let slots = 150;
-    let chunk = 64;
-    let (net, plan_b, plan_a) = hybrid_setup(200, 16, 2);
-    let engine = FluidEngine::default();
-    let schedule = faulty_schedule();
-    for policy in [OutagePolicy::RadioOff, OutagePolicy::OccupySpectrum] {
-        let (ref_a, ref_a_snap) = engine
-            .measure_scheme_a_with_faults_ctr_observed(
-                &net, &plan_a, slots, &schedule, policy, SLOT_SEED,
-            )
-            .unwrap();
-        let (a, a_snap) = engine
-            .measure_scheme_a_with_faults_streamed_observed(
-                &net, &plan_a, slots, &schedule, policy, SLOT_SEED, chunk,
-            )
-            .unwrap();
-        assert_eq!(a.base, ref_a.base, "scheme A base drifted ({policy:?})");
-        assert_eq!(a.base.lambda.to_bits(), ref_a.base.lambda.to_bits());
-        assert_eq!(a.k_alive_mean.to_bits(), ref_a.k_alive_mean.to_bits());
-        assert_eq!(a.outage_slots, ref_a.outage_slots);
-        assert_eq!(a.tally, ref_a.tally);
-        assert_eq!(a_snap.to_json(), ref_a_snap.to_json());
-        let (ref_b, ref_b_snap) = engine
-            .measure_scheme_b_with_faults_ctr_observed(
-                &net, &plan_b, slots, &schedule, policy, SLOT_SEED,
-            )
-            .unwrap();
-        let (b, b_snap) = engine
-            .measure_scheme_b_with_faults_streamed_observed(
-                &net, &plan_b, slots, &schedule, policy, SLOT_SEED, chunk,
-            )
-            .unwrap();
-        assert_eq!(b.base, ref_b.base, "scheme B base drifted ({policy:?})");
-        assert_eq!(b.base.lambda.to_bits(), ref_b.base.lambda.to_bits());
-        assert_eq!(b.k_alive_mean.to_bits(), ref_b.k_alive_mean.to_bits());
-        assert_eq!(b.outage_slots, ref_b.outage_slots);
-        assert_eq!(b.infra_flows, ref_b.infra_flows);
-        assert_eq!(b.fallback_flows, ref_b.fallback_flows);
-        assert_eq!(b.dead_groups, ref_b.dead_groups);
-        assert_eq!(b.tally, ref_b.tally);
-        assert_eq!(b_snap.to_json(), ref_b_snap.to_json());
-    }
-}
-
-/// An empty fault schedule delegates the streamed faulted run to the
-/// fault-free streamed measurement, mirroring the `_par` behavior.
-#[test]
-fn empty_schedule_faulted_streamed_matches_fault_free_streamed() {
-    let slots = 100;
-    let (net, plan, _) = hybrid_setup(200, 16, 2);
-    let engine = FluidEngine::default();
-    let plain = engine
-        .measure_scheme_b_streamed(&net, &plan, slots, SLOT_SEED, 50)
-        .unwrap();
-    let faulted = engine
-        .measure_scheme_b_with_faults_streamed(
-            &net,
-            &plan,
-            slots,
-            &FaultSchedule::empty(),
-            OutagePolicy::RadioOff,
-            SLOT_SEED,
-            50,
-        )
-        .unwrap();
-    assert_eq!(faulted.base, plain);
-    assert_eq!(faulted.k_alive_mean, 16.0);
-    assert_eq!(faulted.outage_slots, 0);
+    let plain = observed(FluidRun::counter(&net, &plan, slots, SLOT_SEED).pool(&pool));
+    let faulted = observed(
+        FluidRun::counter(&net, &plan, slots, SLOT_SEED)
+            .pool(&pool)
+            .faults(&empty, OutagePolicy::RadioOff),
+    );
+    assert_same(&faulted, &plain, "empty schedule on the pool");
+    let streamed = observed(
+        FluidRun::streamed(&net, &plan, slots, SLOT_SEED, 50)
+            .faults(&empty, OutagePolicy::RadioOff),
+    );
+    assert_same(&streamed, &plain, "empty schedule streamed");
+    assert_eq!(faulted.0.k_alive_mean, 16.0);
+    assert_eq!(faulted.0.outage_slots, 0);
+    assert_eq!(faulted.0.tally.scripted_total(), 0);
 }
 
 /// Chunk size zero is a parameter error, not a hang.
@@ -360,7 +212,10 @@ fn counter_run_rejects_history_dependent_mobility() {
     let plan = SchemeAPlan::build(&homes, &traffic, (120f64).powf(0.25));
     let net = HybridNetwork::ad_hoc(pop);
     let err = FluidEngine::default()
-        .measure_scheme_a_ctr(&net, &plan, 50, SLOT_SEED)
+        .measure(
+            FluidRun::counter(&net, &plan, 50, SLOT_SEED),
+            &mut Observer::noop(),
+        )
         .unwrap_err();
     assert!(err.to_string().contains("counter"), "{err}");
 }

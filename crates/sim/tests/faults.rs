@@ -10,9 +10,11 @@
 
 use hycap_infra::{Backbone, BaseStations, LinkMask};
 use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
+use hycap_obs::Observer;
 use hycap_routing::{SchemeAPlan, SchemeBPlan, TrafficMatrix};
 use hycap_sim::{
-    FaultInjector, FaultSchedule, FluidEngine, HybridNetwork, OutagePolicy, PacketEngine,
+    DegradedFluidReport, FaultInjector, FaultSchedule, FluidEngine, FluidPlan, FluidRun,
+    HybridNetwork, OutagePolicy, PacketEngine,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,6 +48,20 @@ fn hybrid_setup(
     )
 }
 
+/// A fluid walk of `net` under `schedule`'s faults.
+fn walk_faulted<'a>(
+    net: &'a mut HybridNetwork,
+    plan: impl Into<FluidPlan<'a>>,
+    slots: usize,
+    schedule: &'a FaultSchedule,
+    policy: OutagePolicy,
+    rng: &'a mut StdRng,
+) -> DegradedFluidReport {
+    let run = FluidRun::walk(net, plan, slots, rng).faults(schedule, policy);
+    let outcome = FluidEngine::default().measure(run, &mut Observer::noop());
+    outcome.unwrap().degraded().clone()
+}
+
 #[test]
 fn empty_schedule_bit_identical_fluid_scheme_b() {
     let slots = 250;
@@ -53,17 +69,14 @@ fn empty_schedule_bit_identical_fluid_scheme_b() {
     let plain = FluidEngine::default().measure_scheme_b(&mut net, &plan, slots, &mut rng);
 
     let (mut net2, plan2, _, mut rng2) = hybrid_setup(200, 64, 4, SEED);
-    let mut injector = FaultInjector::new(64, &FaultSchedule::empty()).unwrap();
-    let faulted = FluidEngine::default()
-        .measure_scheme_b_with_faults(
-            &mut net2,
-            &plan2,
-            slots,
-            &mut injector,
-            OutagePolicy::RadioOff,
-            &mut rng2,
-        )
-        .unwrap();
+    let faulted = walk_faulted(
+        &mut net2,
+        &plan2,
+        slots,
+        &FaultSchedule::empty(),
+        OutagePolicy::RadioOff,
+        &mut rng2,
+    );
     // Bit-identical: the empty schedule takes the exact fault-free path.
     assert_eq!(faulted.base, plain);
     assert_eq!(faulted.base.lambda.to_bits(), plain.lambda.to_bits());
@@ -85,17 +98,14 @@ fn empty_schedule_bit_identical_fluid_scheme_a() {
     let plain = FluidEngine::default().measure_scheme_a(&mut net, &plan, slots, &mut rng);
 
     let (mut net2, _, plan2, mut rng2) = hybrid_setup(200, 16, 4, SEED + 1);
-    let mut injector = FaultInjector::new(16, &FaultSchedule::empty()).unwrap();
-    let faulted = FluidEngine::default()
-        .measure_scheme_a_with_faults(
-            &mut net2,
-            &plan2,
-            slots,
-            &mut injector,
-            OutagePolicy::RadioOff,
-            &mut rng2,
-        )
-        .unwrap();
+    let faulted = walk_faulted(
+        &mut net2,
+        &plan2,
+        slots,
+        &FaultSchedule::empty(),
+        OutagePolicy::RadioOff,
+        &mut rng2,
+    );
     assert_eq!(faulted.base, plain);
     assert_eq!(faulted.base.lambda.to_bits(), plain.lambda.to_bits());
     assert_eq!(faulted.outage_slots, 0);
@@ -162,17 +172,14 @@ fn monotone_dead_set_monotone_capacity_measured() {
     for per_group in 0..4 {
         let (mut net, plan, _, mut rng) = hybrid_setup(200, 64, 4, SEED + 3);
         let schedule = kill_per_group(&plan, per_group);
-        let mut injector = FaultInjector::new(64, &schedule).unwrap();
-        let report = FluidEngine::default()
-            .measure_scheme_b_with_faults(
-                &mut net,
-                &plan,
-                slots,
-                &mut injector,
-                OutagePolicy::OccupySpectrum,
-                &mut rng,
-            )
-            .unwrap();
+        let report = walk_faulted(
+            &mut net,
+            &plan,
+            slots,
+            &schedule,
+            OutagePolicy::OccupySpectrum,
+            &mut rng,
+        );
         assert_eq!(report.fallback_flows, 0, "no group may die completely");
         lambdas.push(report.base.lambda);
     }
@@ -226,17 +233,14 @@ fn dead_group_falls_back_without_panicking() {
     for &b in plan.bs_members(0) {
         schedule = schedule.crash_bs(50, b);
     }
-    let mut injector = FaultInjector::new(64, &schedule).unwrap();
-    let report = FluidEngine::default()
-        .measure_scheme_b_with_faults(
-            &mut net,
-            &plan,
-            slots,
-            &mut injector,
-            OutagePolicy::RadioOff,
-            &mut rng,
-        )
-        .unwrap();
+    let report = walk_faulted(
+        &mut net,
+        &plan,
+        slots,
+        &schedule,
+        OutagePolicy::RadioOff,
+        &mut rng,
+    );
     assert_eq!(report.dead_groups, 1);
     assert!(report.fallback_flows > 0, "dead group must shed flows");
     assert_eq!(

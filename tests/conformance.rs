@@ -17,13 +17,14 @@
 //! UPDATE_GOLDEN=1 cargo test --test conformance golden_snapshot
 //! ```
 
-use hycap::obs::{Observer, PROBE_RATE_BUDGET, PROBE_SCHEDULE_FEASIBILITY};
+use hycap::obs::{MetricsSink, Observer, PROBE_RATE_BUDGET, PROBE_SCHEDULE_FEASIBILITY};
 use hycap::{ModelExponents, Realization, Scenario};
 use hycap_routing::{SchemeAPlan, SchemeBPlan};
 use hycap_sim::{
-    DegradedPacketStats, FaultInjector, FaultSchedule, FlowWorkload, FluidEngine, OutagePolicy,
-    PacketEngine, PacketStats,
+    DegradedFluidReport, DegradedPacketStats, FaultInjector, FaultSchedule, FlowWorkload,
+    FluidEngine, FluidPlan, FluidRun, HybridNetwork, OutagePolicy, PacketEngine, PacketStats,
 };
+use rand::rngs::StdRng;
 
 /// Bit-level equality for packet statistics: stricter than `PartialEq`
 /// (it also equates a NaN `mean_delay` on both sides, which `==` on f64
@@ -78,6 +79,23 @@ fn faults(k: usize) -> FaultSchedule {
     schedule.with_bernoulli_bs_outage(0.05, 99)
 }
 
+/// A fluid walk of `net` from `rng` recorded into `obs`, under `faults`
+/// when given.
+fn walk<'a, S: MetricsSink>(
+    net: &'a mut HybridNetwork,
+    plan: impl Into<FluidPlan<'a>>,
+    rng: &'a mut StdRng,
+    faults: Option<(&'a FaultSchedule, OutagePolicy)>,
+    obs: &mut Observer<S>,
+) -> DegradedFluidReport {
+    let mut run = FluidRun::walk(net, plan, SLOTS, rng);
+    if let Some((schedule, policy)) = faults {
+        run = run.faults(schedule, policy);
+    }
+    let outcome = FluidEngine::default().measure(run, obs).unwrap();
+    outcome.degraded().clone()
+}
+
 #[test]
 fn fluid_scheme_a_matrix_clean_and_bit_identical() {
     for seed in SEEDS {
@@ -87,13 +105,7 @@ fn fluid_scheme_a_matrix_clean_and_bit_identical() {
 
         let (mut obsd, plan_a2, _) = realize(seed);
         let mut obs = Observer::recording().with_probes();
-        let got = engine.measure_scheme_a_observed(
-            &mut obsd.net,
-            &plan_a2,
-            SLOTS,
-            &mut obsd.rng,
-            &mut obs,
-        );
+        let got = walk(&mut obsd.net, &plan_a2, &mut obsd.rng, None, &mut obs).base;
         assert_eq!(
             base, got,
             "seed {seed}: observation perturbed fluid scheme A"
@@ -118,13 +130,7 @@ fn fluid_scheme_b_matrix_clean_and_bit_identical() {
 
         let (mut obsd, _, plan_b2) = realize(seed);
         let mut obs = Observer::recording().with_probes();
-        let got = engine.measure_scheme_b_observed(
-            &mut obsd.net,
-            &plan_b2,
-            SLOTS,
-            &mut obsd.rng,
-            &mut obs,
-        );
+        let got = walk(&mut obsd.net, &plan_b2, &mut obsd.rng, None, &mut obs).base;
         assert_eq!(
             base, got,
             "seed {seed}: observation perturbed fluid scheme B"
@@ -146,59 +152,40 @@ fn fluid_scheme_b_matrix_clean_and_bit_identical() {
 fn fluid_faulted_matrix_clean_and_bit_identical() {
     for seed in SEEDS {
         for policy in [OutagePolicy::RadioOff, OutagePolicy::OccupySpectrum] {
-            let engine = FluidEngine::default();
             let (mut plain, plan_a, plan_b) = realize(seed);
             let k = plain.params.k;
             let schedule = faults(k);
-            let mut inj = FaultInjector::new(k, &schedule).unwrap();
-            let base_a = engine
-                .measure_scheme_a_with_faults(
-                    &mut plain.net,
-                    &plan_a,
-                    SLOTS,
-                    &mut inj,
-                    policy,
-                    &mut plain.rng,
-                )
-                .unwrap();
-            let mut inj = FaultInjector::new(k, &schedule).unwrap();
-            let base_b = engine
-                .measure_scheme_b_with_faults(
-                    &mut plain.net,
-                    &plan_b,
-                    SLOTS,
-                    &mut inj,
-                    policy,
-                    &mut plain.rng,
-                )
-                .unwrap();
+            let base_a = walk(
+                &mut plain.net,
+                &plan_a,
+                &mut plain.rng,
+                Some((&schedule, policy)),
+                &mut Observer::noop(),
+            );
+            let base_b = walk(
+                &mut plain.net,
+                &plan_b,
+                &mut plain.rng,
+                Some((&schedule, policy)),
+                &mut Observer::noop(),
+            );
 
             let (mut obsd, plan_a2, plan_b2) = realize(seed);
             let mut obs = Observer::recording().with_probes();
-            let mut inj = FaultInjector::new(k, &schedule).unwrap();
-            let got_a = engine
-                .measure_scheme_a_with_faults_observed(
-                    &mut obsd.net,
-                    &plan_a2,
-                    SLOTS,
-                    &mut inj,
-                    policy,
-                    &mut obsd.rng,
-                    &mut obs,
-                )
-                .unwrap();
-            let mut inj = FaultInjector::new(k, &schedule).unwrap();
-            let got_b = engine
-                .measure_scheme_b_with_faults_observed(
-                    &mut obsd.net,
-                    &plan_b2,
-                    SLOTS,
-                    &mut inj,
-                    policy,
-                    &mut obsd.rng,
-                    &mut obs,
-                )
-                .unwrap();
+            let got_a = walk(
+                &mut obsd.net,
+                &plan_a2,
+                &mut obsd.rng,
+                Some((&schedule, policy)),
+                &mut obs,
+            );
+            let got_b = walk(
+                &mut obsd.net,
+                &plan_b2,
+                &mut obsd.rng,
+                Some((&schedule, policy)),
+                &mut obs,
+            );
             assert_eq!(
                 base_a, got_a,
                 "seed {seed} {policy:?}: faulted fluid A diverged"
