@@ -1,6 +1,6 @@
 //! Cross-process determinism of the `hycap` binary: two separate processes
-//! running the same `measure … --metrics PATH` must print byte-identical
-//! reports and write byte-identical metrics snapshots.
+//! running the same `measure`, `sweep` or `degrade … --metrics PATH` must
+//! print byte-identical reports and write byte-identical metrics snapshots.
 //!
 //! Within one process every `HashMap` shares a hasher seed, so in-process
 //! determinism tests cannot see a result that depends on `HashMap`
@@ -29,43 +29,65 @@ fn report_dir() -> PathBuf {
 const MEASURE_ARGS: &str = "measure --alpha 0.25 --m 1 --r 0 --k 0.5 --phi 0 \
                             --n 1296 --slots 60 --seed 2010 --threads 2 --metrics";
 
-/// Runs `hycap measure` and returns (stdout, snapshot bytes).
-fn measure_once(metrics: &Path) -> (Vec<u8>, Vec<u8>) {
+/// A two-point sweep through the slot-sharded counter engine.
+const SWEEP_ARGS: &str = "sweep --alpha 0.25 --m 1 --r 0 --k 0.75 --phi 0 \
+                          --ns 100,200 --slots 40 --seed 7 --threads 2 --metrics";
+
+/// A fault-free baseline plus a faulted run (crashes and Bernoulli
+/// outages), both slot-sharded on the pool.
+const DEGRADE_ARGS: &str = "degrade --alpha 0.25 --m 1 --r 0 --k 0.75 --phi 0 \
+                            --n 150 --fail-frac 0.3 --outage-p 0.1 --slots 40 \
+                            --seed 7 --threads 2 --metrics";
+
+/// Runs `hycap <args> <metrics>` and returns (stdout, snapshot bytes).
+fn run_once(args: &str, metrics: &Path) -> (Vec<u8>, Vec<u8>) {
     std::fs::remove_file(metrics).ok();
     let out = Command::new(BIN)
-        .args(MEASURE_ARGS.split_whitespace())
+        .args(args.split_whitespace())
         .arg(metrics)
         .output()
         .expect("spawn hycap binary");
     assert!(
         out.status.success(),
-        "hycap measure failed: {}",
+        "hycap {args} failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     let snapshot = std::fs::read(metrics).expect("metrics snapshot written");
     (out.stdout, snapshot)
 }
 
-#[test]
-fn two_processes_print_and_snapshot_identical_bytes() {
-    let metrics = report_dir().join(format!("cross-process-{}.json", std::process::id()));
-    let (stdout_a, snap_a) = measure_once(&metrics);
-    let (stdout_b, snap_b) = measure_once(&metrics);
+/// Two processes of `hycap <args>`: same stdout, same snapshot bytes.
+fn assert_two_processes_identical(name: &str, args: &str, expect: &str) {
+    let metrics = report_dir().join(format!("cross-process-{name}-{}.json", std::process::id()));
+    let (stdout_a, snap_a) = run_once(args, &metrics);
+    let (stdout_b, snap_b) = run_once(args, &metrics);
     std::fs::remove_file(&metrics).ok();
     let text = String::from_utf8_lossy(&stdout_a);
-    assert!(
-        text.contains("infrastructure path"),
-        "unexpected report:\n{text}"
-    );
+    assert!(text.contains(expect), "unexpected {name} report:\n{text}");
     assert!(
         stdout_a == stdout_b,
-        "stdout differs between processes:\n--- first\n{text}\n--- second\n{}",
+        "{name} stdout differs between processes:\n--- first\n{text}\n--- second\n{}",
         String::from_utf8_lossy(&stdout_b)
     );
     assert!(
         snap_a == snap_b,
-        "metrics snapshot differs between processes:\n--- first\n{}\n--- second\n{}",
+        "{name} metrics snapshot differs between processes:\n--- first\n{}\n--- second\n{}",
         String::from_utf8_lossy(&snap_a),
         String::from_utf8_lossy(&snap_b)
     );
+}
+
+#[test]
+fn two_processes_print_and_snapshot_identical_bytes() {
+    assert_two_processes_identical("measure", MEASURE_ARGS, "infrastructure path");
+}
+
+#[test]
+fn two_sweep_processes_print_and_snapshot_identical_bytes() {
+    assert_two_processes_identical("sweep", SWEEP_ARGS, "metrics:");
+}
+
+#[test]
+fn two_degrade_processes_print_and_snapshot_identical_bytes() {
+    assert_two_processes_identical("degrade", DEGRADE_ARGS, "faults:");
 }
