@@ -40,8 +40,10 @@ use hycap_bench::report;
 use hycap_geom::{clamp_index_radius, Point, SpatialHash};
 use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
 use hycap_routing::TrafficMatrix;
+use hycap_sim::obs::Observer;
 use hycap_sim::{
-    FlowRunStats, FlowSizes, FlowWorkload, HybridNetwork, Pacing, PacingTrace, PacketEngine,
+    FlowOutcome, FlowRun, FlowRunStats, FlowSizes, FlowWorkload, HybridNetwork, Pacing,
+    PacingTrace, PacketEngine,
 };
 use hycap_wireless::{
     critical_range, GreedyMatchingScheduler, SStarScheduler, ScheduledPair, Scheduler,
@@ -142,8 +144,9 @@ fn run_case(case: Case, pacing: Pacing) -> Row {
         Pacing::Demand { .. } => "demand",
     };
     let start = Instant::now();
-    let (stats, trace) = engine
-        .run_flows_traced(&mut net, &chains, &w, &mut rng)
+    let run = FlowRun::chains(&mut net, &chains, &w, &mut rng);
+    let FlowOutcome { stats, trace, .. } = engine
+        .run_flows(run, &mut Observer::noop())
         .expect("flow run");
     let seconds = start.elapsed().as_secs_f64();
     Row {

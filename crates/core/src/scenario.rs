@@ -16,8 +16,8 @@ use hycap_mobility::{ClusteredModel, Kernel, MobilityKind, Population, Populatio
 use hycap_obs::{MetricsSink, Observer, Snapshot};
 use hycap_routing::{SchemeAPlan, SchemeBPlan, SchemeCPlan, TrafficMatrix};
 use hycap_sim::{
-    scenario_digest, CacheEntry, FlowRunStats, FlowWorkload, FluidEngine, FluidReport, FluidRun,
-    HybridNetwork, Pacing, PacingTrace, PacketEngine, ResultCache, WorkerPool,
+    scenario_digest, CacheEntry, FlowRun, FlowRunStats, FlowWorkload, FluidEngine, FluidReport,
+    FluidRun, HybridNetwork, Pacing, PacingTrace, PacketEngine, ResultCache, WorkerPool,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -319,18 +319,13 @@ impl Scenario {
         let engine = PacketEngine::try_new(self.delta, self.c_t)?.with_pacing(self.flow_pacing());
         let regime = self.regime().ok();
         let homes = net.population().home_points().points().to_vec();
-        let mut flows_mobility = None;
-        let mut flows_infra = None;
-        let mut pacing_mobility = None;
-        let mut pacing_infra = None;
+        let mut mobility = None;
+        let mut infra = None;
         match regime {
             Some(MobilityRegime::Strong) | None => {
                 let plan = SchemeAPlan::build_observed(&homes, &traffic, params.f.max(1.0), obs);
-                let (stats, trace) = engine.run_flows_scheme_a_traced_observed(
-                    &mut net, &plan, &traffic, workload, &mut rng, obs,
-                )?;
-                flows_mobility = Some(stats);
-                pacing_mobility = Some(trace);
+                let run = FlowRun::scheme_a(&mut net, &plan, &traffic, workload, &mut rng);
+                mobility = Some(engine.run_flows(run, obs)?);
                 if self.with_bs && regime.is_some() {
                     let bs = net.base_stations().expect("with_bs").clone();
                     let plan_b = SchemeBPlan::build_observed(
@@ -340,11 +335,8 @@ impl Scenario {
                         self.scheme_b_cells,
                         obs,
                     );
-                    let (stats, trace) = engine.run_flows_scheme_b_traced_observed(
-                        &mut net, &plan_b, workload, &mut rng, obs,
-                    )?;
-                    flows_infra = Some(stats);
-                    pacing_infra = Some(trace);
+                    let run = FlowRun::scheme_b(&mut net, &plan_b, workload, &mut rng);
+                    infra = Some(engine.run_flows(run, obs)?);
                 }
             }
             Some(MobilityRegime::Weak) => {
@@ -352,11 +344,8 @@ impl Scenario {
                     let bs = net.base_stations().expect("with_bs").clone();
                     let centers = net.population().home_points().centers().to_vec();
                     let plan = SchemeBPlan::by_clusters(&homes, &traffic, &bs, &centers);
-                    let (stats, trace) = engine.run_flows_scheme_b_traced_observed(
-                        &mut net, &plan, workload, &mut rng, obs,
-                    )?;
-                    flows_infra = Some(stats);
-                    pacing_infra = Some(trace);
+                    let run = FlowRun::scheme_b(&mut net, &plan, workload, &mut rng);
+                    infra = Some(engine.run_flows(run, obs)?);
                 }
             }
             Some(MobilityRegime::Trivial) => {
@@ -368,20 +357,17 @@ impl Scenario {
                     let layout =
                         CellularLayout::build(&centers, radius, params.k.max(centers.len()));
                     let plan = SchemeCPlan::build(&homes, &cluster_of, &layout, &traffic);
-                    let (stats, trace) = engine.run_flows_scheme_c_traced_observed(
-                        &plan, &layout, &traffic, params.c, workload, obs,
-                    )?;
-                    flows_infra = Some(stats);
-                    pacing_infra = Some(trace);
+                    let run = FlowRun::scheme_c(&plan, &layout, &traffic, params.c, workload);
+                    infra = Some(engine.run_flows(run, obs)?);
                 }
             }
         }
         Ok(FlowScenarioReport {
             regime,
-            flows_mobility,
-            flows_infra,
-            pacing_mobility,
-            pacing_infra,
+            flows_mobility: mobility.map(|o| o.stats),
+            flows_infra: infra.map(|o| o.stats),
+            pacing_mobility: mobility.map(|o| o.trace),
+            pacing_infra: infra.map(|o| o.trace),
             params,
         })
     }

@@ -10,7 +10,8 @@
 //!   plan's load map: `λ = min service/load`. Fast; used for `n`-sweeps.
 //! * [`PacketEngine`] — a slotted queueing simulator with real buffers and
 //!   a bisection search for the stability boundary. Slower; validates the
-//!   fluid numbers.
+//!   fluid numbers. Finite-flow workloads (FCT, per-packet delay) run as one
+//!   [`FlowRun`] through [`PacketEngine::run_flows`].
 //! * [`sweep`] — geometric `n` ladders, log–log exponent fits and an
 //!   order-preserving parallel driver, used by every Table-I / Figure-3
 //!   experiment.
@@ -63,6 +64,7 @@ mod fluid;
 mod packet;
 mod pool;
 pub mod sweep;
+mod workload;
 
 pub use budget::{BudgetExceeded, BudgetMeter, Budgeted, RunBudget};
 pub use cache::{CacheDiskStats, CacheEntry, CacheStats, CacheValue, GcReport, ResultCache};
@@ -70,9 +72,7 @@ pub use checkpoint::{scenario_digest, Checkpoint, ENGINE_VERSION};
 pub use engine::HybridNetwork;
 pub use events::{Event, EventList, EventQueue, FlowRng, Time};
 pub use faults::{FaultEvent, FaultInjector, FaultSchedule, FaultTally, OutagePolicy};
-pub use flows::{
-    ArrivalProcess, DegradedFlowStats, FlowRunStats, FlowSizes, FlowSpec, FlowWorkload,
-};
+pub use flows::{DegradedFlowStats, FlowOutcome, FlowRun, FlowRunStats};
 pub use fluid::{
     Bottleneck, DegradedFluidReport, FluidEngine, FluidOutcome, FluidPlan, FluidReport, FluidRun,
     TwoHopReport,
@@ -83,6 +83,7 @@ pub use sweep::{
     fit_linear, fit_loglog, geometric_ns, load_ladder, parallel_map, parallel_map_checkpointed,
     parallel_map_observed, FitResult,
 };
+pub use workload::{ArrivalProcess, FlowSizes, FlowSpec, FlowWorkload};
 
 /// Re-export of the observability crate so downstream code can construct
 /// [`hycap_obs::Observer`]s for [`FluidEngine::measure`] and the

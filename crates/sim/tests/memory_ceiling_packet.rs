@@ -32,7 +32,8 @@ use std::sync::atomic::Ordering;
 
 use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
 use hycap_routing::TrafficMatrix;
-use hycap_sim::{FlowWorkload, HybridNetwork, PacingTrace, PacketEngine};
+use hycap_sim::obs::Observer;
+use hycap_sim::{FlowOutcome, FlowRun, FlowWorkload, HybridNetwork, PacketEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -72,8 +73,9 @@ fn loop_peak_bytes(horizon: usize) -> usize {
     let baseline = LIVE.load(Ordering::Relaxed);
     PEAK.store(baseline, Ordering::Relaxed);
 
-    let (stats, trace): (_, PacingTrace) = engine
-        .run_flows_traced(&mut net, &chains, &workload, &mut rng)
+    let run = FlowRun::chains(&mut net, &chains, &workload, &mut rng);
+    let FlowOutcome { stats, trace, .. } = engine
+        .run_flows(run, &mut Observer::noop())
         .expect("demand-paced flow run succeeds");
     assert_eq!(trace.slots, horizon as u64);
     assert!(stats.flows_started > 0, "workload must generate traffic");

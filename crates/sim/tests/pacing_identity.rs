@@ -27,7 +27,7 @@ use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
 use hycap_routing::{SchemeAPlan, SchemeBPlan, SchemeCPlan, TrafficMatrix};
 use hycap_sim::obs::{MemorySink, Observer};
 use hycap_sim::{
-    FaultInjector, FaultSchedule, FlowWorkload, HybridNetwork, OutagePolicy, Pacing, PacingTrace,
+    FaultSchedule, FlowRun, FlowWorkload, HybridNetwork, OutagePolicy, Pacing, PacingTrace,
     PacketEngine,
 };
 use proptest::prelude::*;
@@ -135,12 +135,9 @@ proptest! {
             let mut net = HybridNetwork::ad_hoc(pop);
             let w = FlowWorkload::poisson(rate, 3, HORIZON).with_seed(seed ^ 0xF10);
             let mut obs = Observer::recording().with_probes();
-            let (stats, trace) = engine(base_slot, skip, active_set)
-                .run_flows_scheme_a_traced_observed(
-                    &mut net, &plan, &traffic, &w, &mut rng, &mut obs,
-                )
-                .unwrap();
-            (format!("{stats:?}"), trace, stripped_json(&obs))
+            let run = FlowRun::scheme_a(&mut net, &plan, &traffic, &w, &mut rng);
+            let out = engine(base_slot, skip, active_set).run_flows(run, &mut obs).unwrap();
+            (format!("{:?}", out.stats), out.trace, stripped_json(&obs))
         };
         prop_assert_eq!(run(false, false).1.slots, HORIZON as u64);
         check_all_variants(run)?;
@@ -175,31 +172,16 @@ proptest! {
             let mut net = HybridNetwork::with_infrastructure(pop, bs);
             let w = FlowWorkload::poisson(rate, 3, HORIZON).with_seed(seed ^ 0xF10);
             let mut obs = Observer::recording().with_probes();
-            let eng = engine(base_slot, skip, active_set);
+            let schedule = FaultSchedule::empty()
+                .crash_bs(0, 0)
+                .crash_bs(HORIZON / 2, 1)
+                .with_bernoulli_bs_outage(0.02, seed ^ 0xBAD);
+            let mut run = FlowRun::scheme_b(&mut net, &plan, &w, &mut rng);
             if faulted {
-                let schedule = FaultSchedule::empty()
-                    .crash_bs(0, 0)
-                    .crash_bs(HORIZON / 2, 1)
-                    .with_bernoulli_bs_outage(0.02, seed ^ 0xBAD);
-                let mut injector = FaultInjector::new(k, &schedule).unwrap();
-                let (stats, trace) = eng
-                    .run_flows_scheme_b_with_faults_traced_observed(
-                        &mut net,
-                        &plan,
-                        &w,
-                        &mut injector,
-                        OutagePolicy::RadioOff,
-                        &mut rng,
-                        &mut obs,
-                    )
-                    .unwrap();
-                (format!("{stats:?}"), trace, stripped_json(&obs))
-            } else {
-                let (stats, trace) = eng
-                    .run_flows_scheme_b_traced_observed(&mut net, &plan, &w, &mut rng, &mut obs)
-                    .unwrap();
-                (format!("{stats:?}"), trace, stripped_json(&obs))
+                run = run.faults(&schedule, OutagePolicy::RadioOff);
             }
+            let out = engine(base_slot, skip, active_set).run_flows(run, &mut obs).unwrap();
+            (format!("{:?} {:?}", out.stats, out.degraded), out.trace, stripped_json(&obs))
         };
         check_all_variants(run)?;
     }
@@ -266,10 +248,9 @@ proptest! {
             let plan = SchemeCPlan::build(&positions, &cluster_of, &layout, &traffic);
             let w = FlowWorkload::poisson(rate, 3, HORIZON).with_seed(seed ^ 0xF10);
             let mut obs = Observer::recording().with_probes();
-            let (stats, trace) = engine(base_slot, skip, active_set)
-                .run_flows_scheme_c_traced_observed(&plan, &layout, &traffic, 1.0, &w, &mut obs)
-                .unwrap();
-            (format!("{stats:?}"), trace, stripped_json(&obs))
+            let run = FlowRun::scheme_c(&plan, &layout, &traffic, 1.0, &w);
+            let out = engine(base_slot, skip, active_set).run_flows(run, &mut obs).unwrap();
+            (format!("{:?}", out.stats), out.trace, stripped_json(&obs))
         };
         check_all_variants(run)?;
     }

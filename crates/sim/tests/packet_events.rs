@@ -9,7 +9,10 @@
 use hycap_errors::HycapError;
 use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
 use hycap_routing::TrafficMatrix;
-use hycap_sim::{Event, EventQueue, FlowRunStats, FlowWorkload, HybridNetwork, PacketEngine};
+use hycap_sim::obs::Observer;
+use hycap_sim::{
+    Event, EventQueue, FlowRun, FlowRunStats, FlowWorkload, HybridNetwork, PacketEngine,
+};
 use hycap_sim::{PacketStats, WorkerPool};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -103,9 +106,11 @@ fn flow_run(seed: u64) -> FlowRunStats {
     let traffic = TrafficMatrix::permutation(60, &mut rng);
     let chains: Vec<Vec<usize>> = traffic.pairs().map(|(s, d)| vec![s, d]).collect();
     let workload = FlowWorkload::poisson(0.004, 3, 300).with_seed(seed);
+    let run = FlowRun::chains(&mut net, &chains, &workload, &mut rng);
     PacketEngine::default()
-        .run_flows(&mut net, &chains, &workload, &mut rng)
+        .run_flows(run, &mut Observer::noop())
         .unwrap()
+        .stats
 }
 
 #[test]
@@ -218,9 +223,11 @@ fn empty_flow_run_reports_zeros() {
     let (mut net, mut rng) = dense_net(20, 5);
     let chains: Vec<Vec<usize>> = vec![vec![0, 1]];
     let workload = FlowWorkload::poisson(0.0, 2, 400);
+    let run = FlowRun::chains(&mut net, &chains, &workload, &mut rng);
     let stats = PacketEngine::default()
-        .run_flows(&mut net, &chains, &workload, &mut rng)
-        .unwrap();
+        .run_flows(run, &mut Observer::noop())
+        .unwrap()
+        .stats;
     assert_eq!(stats.flows_started, 0);
     assert_eq!(stats.mean_fct.to_bits(), 0.0f64.to_bits());
     assert!(stats.fct_p50.is_none(), "idle run must not report an FCT");

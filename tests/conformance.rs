@@ -21,8 +21,9 @@ use hycap::obs::{MetricsSink, Observer, PROBE_RATE_BUDGET, PROBE_SCHEDULE_FEASIB
 use hycap::{ModelExponents, Realization, Scenario};
 use hycap_routing::{SchemeAPlan, SchemeBPlan};
 use hycap_sim::{
-    DegradedFluidReport, DegradedPacketStats, FaultInjector, FaultSchedule, FlowWorkload,
-    FluidEngine, FluidPlan, FluidRun, HybridNetwork, OutagePolicy, PacketEngine, PacketStats,
+    DegradedFluidReport, DegradedPacketStats, FaultInjector, FaultSchedule, FlowRun, FlowRunStats,
+    FlowWorkload, FluidEngine, FluidPlan, FluidRun, HybridNetwork, OutagePolicy, PacketEngine,
+    PacketStats,
 };
 use rand::rngs::StdRng;
 
@@ -311,46 +312,29 @@ fn packet_faulted_matrix_clean_and_bit_identical() {
     }
 }
 
+/// Scheme A then scheme B flows over a fresh realization of `seed`,
+/// recorded into `obs`.
+fn flows_a_b<S: MetricsSink>(
+    seed: u64,
+    workload: &FlowWorkload,
+    obs: &mut Observer<S>,
+) -> (FlowRunStats, FlowRunStats) {
+    let engine = PacketEngine::default();
+    let (mut r, plan_a, plan_b) = realize(seed);
+    let run = FlowRun::scheme_a(&mut r.net, &plan_a, &r.traffic, workload, &mut r.rng);
+    let a = engine.run_flows(run, obs).unwrap().stats;
+    let run = FlowRun::scheme_b(&mut r.net, &plan_b, workload, &mut r.rng);
+    let b = engine.run_flows(run, obs).unwrap().stats;
+    (a, b)
+}
+
 #[test]
 fn flow_matrix_clean_and_bit_identical() {
     for seed in SEEDS {
         let workload = FlowWorkload::poisson(0.002, 3, SLOTS).with_seed(seed);
-        let engine = PacketEngine::default();
-        let (mut plain, plan_a, plan_b) = realize(seed);
-        let base_a = engine
-            .run_flows_scheme_a(
-                &mut plain.net,
-                &plan_a,
-                &plain.traffic,
-                &workload,
-                &mut plain.rng,
-            )
-            .unwrap();
-        let base_b = engine
-            .run_flows_scheme_b(&mut plain.net, &plan_b, &workload, &mut plain.rng)
-            .unwrap();
-
-        let (mut obsd, plan_a2, plan_b2) = realize(seed);
+        let (base_a, base_b) = flows_a_b(seed, &workload, &mut Observer::noop());
         let mut obs = Observer::recording().with_probes();
-        let got_a = engine
-            .run_flows_scheme_a_observed(
-                &mut obsd.net,
-                &plan_a2,
-                &obsd.traffic,
-                &workload,
-                &mut obsd.rng,
-                &mut obs,
-            )
-            .unwrap();
-        let got_b = engine
-            .run_flows_scheme_b_observed(
-                &mut obsd.net,
-                &plan_b2,
-                &workload,
-                &mut obsd.rng,
-                &mut obs,
-            )
-            .unwrap();
+        let (got_a, got_b) = flows_a_b(seed, &workload, &mut obs);
         // Plain f64 equality doubles as the NaN pin: a poisoned statistic
         // would fail even against an identical rerun.
         assert_eq!(base_a, got_a, "seed {seed}: flow scheme A diverged");
@@ -383,9 +367,11 @@ fn empty_run_row_reports_zeros_and_finite_json() {
     assert_eq!(stats.throughput_per_node.to_bits(), 0.0f64.to_bits());
 
     let workload = FlowWorkload::poisson(0.0, 2, SLOTS);
+    let run = FlowRun::chains(&mut r.net, &chains, &workload, &mut r.rng);
     let flow_stats = PacketEngine::default()
-        .run_flows_observed(&mut r.net, &chains, &workload, &mut r.rng, &mut obs)
-        .unwrap();
+        .run_flows(run, &mut obs)
+        .unwrap()
+        .stats;
     assert_eq!(flow_stats.flows_started, 0);
     assert_eq!(flow_stats.mean_fct.to_bits(), 0.0f64.to_bits());
     assert!(
