@@ -1,6 +1,7 @@
 //! Cross-process determinism of the `hycap` binary: two separate processes
-//! running the same `measure`, `sweep` or `degrade … --metrics PATH` must
-//! print byte-identical reports and write byte-identical metrics snapshots.
+//! running the same `measure`, `sweep`, `degrade` or `flows … --metrics
+//! PATH` must print byte-identical reports and write byte-identical metrics
+//! snapshots.
 //!
 //! Within one process every `HashMap` shares a hasher seed, so in-process
 //! determinism tests cannot see a result that depends on `HashMap`
@@ -38,6 +39,12 @@ const SWEEP_ARGS: &str = "sweep --alpha 0.25 --m 1 --r 0 --k 0.75 --phi 0 \
 const DEGRADE_ARGS: &str = "degrade --alpha 0.25 --m 1 --r 0 --k 0.75 --phi 0 \
                             --n 150 --fail-frac 0.3 --outage-p 0.1 --slots 40 \
                             --seed 7 --threads 2 --metrics";
+
+/// A two-point load ladder of finite flows over scheme A relay chains and
+/// scheme B, demand-paced, with an elephant/mice size mix.
+const FLOWS_ARGS: &str = "flows --alpha 0.25 --m 1 --r 0 --k 0.75 --phi 0 \
+                          --n 200 --loads 0.001,0.004 --horizon 200 --seed 3 \
+                          --mice 1 --elephants 5 --elephant-frac 0.3 --metrics";
 
 /// Runs `hycap <args> <metrics>` and returns (stdout, snapshot bytes).
 fn run_once(args: &str, metrics: &Path) -> (Vec<u8>, Vec<u8>) {
@@ -90,4 +97,9 @@ fn two_sweep_processes_print_and_snapshot_identical_bytes() {
 #[test]
 fn two_degrade_processes_print_and_snapshot_identical_bytes() {
     assert_two_processes_identical("degrade", DEGRADE_ARGS, "faults:");
+}
+
+#[test]
+fn two_flows_processes_print_and_snapshot_identical_bytes() {
+    assert_two_processes_identical("flows", FLOWS_ARGS, "fct vs load");
 }
