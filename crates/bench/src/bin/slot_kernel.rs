@@ -1,17 +1,25 @@
-//! Scheduling-phase kernel throughput: seed scan vs cell-occupancy kernel.
+//! Scheduling-phase kernel throughput: seed scan vs the pair sweep.
 //!
 //! Replays the pre-kernel slot loop (full CSR rebuild + per-node radius
 //! scan, reimplemented verbatim on the public `SpatialHash` API) against
-//! the production schedulers (incremental `update` + occupancy-pruned
-//! kernels) over a ladder of population sizes, for uniform and clustered
+//! the production schedulers (incremental `update` + the half-stencil pair
+//! sweep) over a ladder of population sizes, for uniform and clustered
 //! placements and both policies, on a drifting mobility sequence. Every
 //! timed slot is also cross-checked for bit-identity between the two
 //! paths, so the speedup numbers cannot come from a divergent schedule.
 //!
 //! Writes `target/reports/BENCH_PR5.json` and prints an ASCII table. The
-//! `phases` section breaks one slot at the largest `n` into its phases
-//! (index maintenance vs neighbor kernel) for the DESIGN.md anatomy
-//! numbers.
+//! `phases` section splits one S* slot into its phases (index maintenance
+//! vs neighbor kernel) at the two Table I geometries that dominate a quick
+//! Table I run, for the DESIGN.md anatomy numbers:
+//!
+//! - strong mobility with BSs at n = 4096: 4096 uniform stations plus 512
+//!   static BSs, range `c_T/√n` — a 106² grid;
+//! - weak mobility with BSs at n = 3125: 5 clusters of radius 0.04 plus
+//!   125 static BSs, range `r·√(m/n)` — a 416² grid, mostly empty.
+//!
+//! Both draw fresh i.i.d. positions every slot, as the Table I runs do, so
+//! `update` takes its churn fallback every slot.
 //!
 //! ```text
 //! cargo run -p hycap-bench --release --bin slot_kernel [--quick]
@@ -31,6 +39,10 @@ use std::time::Instant;
 
 const SEED: u64 = 0x51A7_2010;
 const DELTA: f64 = 1.0;
+/// Guard factor and range constant of the Table I runs (the `Scenario`
+/// defaults), used by the phase split.
+const TABLE1_DELTA: f64 = 0.5;
+const TABLE1_C_T: f64 = 0.4;
 /// Per-slot random-walk step, a fraction of the typical cell side.
 const DRIFT: f64 = 0.002;
 
@@ -166,8 +178,9 @@ struct Row {
 }
 
 struct PhaseRow {
-    placement: &'static str,
-    n: usize,
+    geometry: &'static str,
+    points: usize,
+    grid: String,
     phase: &'static str,
     ms_per_slot: f64,
 }
@@ -244,15 +257,73 @@ fn run_case(
     }
 }
 
-/// Per-phase anatomy of one S* slot at size `n`: index maintenance (full
-/// rebuild vs incremental update) and neighbor kernel (seed scan vs
-/// occupancy kernel), averaged over `slots` drifting slots.
-fn run_phases(placement: &'static str, base: &[Point], n: usize, slots: usize) -> Vec<PhaseRow> {
-    let range = critical_range(n, 1.0);
-    let guard = (1.0 + DELTA) * range;
+/// One Table I slot geometry for the phase split: `n` mobile stations
+/// drawn i.i.d. each slot (uniformly, or uniformly in a random cluster
+/// disk), followed by static base stations.
+struct Geometry {
+    name: &'static str,
+    n: usize,
+    range: f64,
+    clusters: Vec<Point>,
+    cluster_radius: f64,
+    bs: Vec<Point>,
+}
+
+impl Geometry {
+    /// Strong mobility with BSs at n = 4096: a 106² grid.
+    fn strong(rng: &mut StdRng) -> Self {
+        let n = 4096;
+        Geometry {
+            name: "strong n=4096",
+            n,
+            range: critical_range(n, TABLE1_C_T),
+            clusters: Vec::new(),
+            cluster_radius: 0.0,
+            bs: uniform(512, rng),
+        }
+    }
+
+    /// Weak mobility with BSs at n = 3125: m = n^0.2 = 5 clusters of
+    /// radius r = n^-0.4 = 0.04, range `r·√(m/n)` — a 416² grid.
+    fn weak(rng: &mut StdRng) -> Self {
+        let (n, m, r) = (3125, 5, 0.04);
+        Geometry {
+            name: "weak n=3125",
+            n,
+            range: r * (m as f64 / n as f64).sqrt(),
+            clusters: uniform(m, rng),
+            cluster_radius: r,
+            bs: uniform(125, rng),
+        }
+    }
+
+    /// One slot's snapshot: fresh station positions, then the BSs.
+    fn sample(&self, rng: &mut StdRng, out: &mut Vec<Point>) {
+        out.clear();
+        for _ in 0..self.n {
+            out.push(if self.clusters.is_empty() {
+                Point::new(rng.gen::<f64>(), rng.gen::<f64>())
+            } else {
+                let c = self.clusters[rng.gen_range(0..self.clusters.len())];
+                let rho = self.cluster_radius * rng.gen::<f64>().sqrt();
+                let theta = std::f64::consts::TAU * rng.gen::<f64>();
+                c.translate(Vec2::new(rho * theta.cos(), rho * theta.sin()))
+            });
+        }
+        out.extend_from_slice(&self.bs);
+    }
+}
+
+/// Per-phase anatomy of one S* slot at a Table I geometry: index
+/// maintenance (full rebuild vs the slot path's `update`) and neighbor
+/// kernel (seed per-node scan vs the pair sweep), averaged over `slots`
+/// i.i.d. slots. Every slot asserts the sweep equals the seed scan.
+fn run_phases(geo: &Geometry, slots: usize) -> Vec<PhaseRow> {
+    let guard = (1.0 + TABLE1_DELTA) * geo.range;
     let clamped = clamp_index_radius(guard);
-    let mut positions = base.to_vec();
-    let mut rng = StdRng::seed_from_u64(SEED ^ 0xFA5E ^ n as u64);
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0xFA5E ^ geo.n as u64);
+    let mut positions = Vec::new();
+    geo.sample(&mut rng, &mut positions);
     let mut rebuild_hash = SpatialHash::build(&positions, clamped);
     let mut update_hash = SpatialHash::build(&positions, clamped);
     let mut scratch = OccupancyScratch::default();
@@ -263,7 +334,7 @@ fn run_phases(placement: &'static str, base: &[Point], n: usize, slots: usize) -
     let mut t_scan = 0.0;
     let mut t_kernel = 0.0;
     for _ in 0..slots {
-        drift(&mut positions, &mut rng);
+        geo.sample(&mut rng, &mut positions);
 
         let start = Instant::now();
         rebuild_hash.rebuild(&positions, clamped);
@@ -299,32 +370,23 @@ fn run_phases(placement: &'static str, base: &[Point], n: usize, slots: usize) -
         assert_eq!(neighbor, scan_neighbor, "kernel diverged from seed scan");
     }
     let per = |t: f64| t / slots as f64 * 1e3;
-    vec![
-        PhaseRow {
-            placement,
-            n,
-            phase: "index: full rebuild",
-            ms_per_slot: per(t_rebuild),
-        },
-        PhaseRow {
-            placement,
-            n,
-            phase: "index: incremental update",
-            ms_per_slot: per(t_update),
-        },
-        PhaseRow {
-            placement,
-            n,
-            phase: "neighbors: seed scan",
-            ms_per_slot: per(t_scan),
-        },
-        PhaseRow {
-            placement,
-            n,
-            phase: "neighbors: occupancy kernel",
-            ms_per_slot: per(t_kernel),
-        },
+    let cells = (1.0 / clamped).floor() as usize;
+    let grid = format!("{cells}x{cells}");
+    [
+        ("index: full rebuild", t_rebuild),
+        ("index: update", t_update),
+        ("neighbors: seed scan", t_scan),
+        ("neighbors: pair sweep", t_kernel),
     ]
+    .into_iter()
+    .map(|(phase, t)| PhaseRow {
+        geometry: geo.name,
+        points: positions.len(),
+        grid: grid.clone(),
+        phase,
+        ms_per_slot: per(t),
+    })
+    .collect()
 }
 
 fn main() {
@@ -334,8 +396,7 @@ fn main() {
     } else {
         &[(1_000, 120), (4_000, 30), (10_000, 12)]
     };
-    let max_n = ladder.last().expect("non-empty ladder").0;
-    let phase_slots = if quick { 4 } else { 10 };
+    let phase_slots = if quick { 4 } else { 600 };
 
     let mut rng = StdRng::seed_from_u64(SEED);
     let mut rows: Vec<Row> = Vec::new();
@@ -349,10 +410,10 @@ fn main() {
             for policy in ["sstar", "greedy"] {
                 rows.push(run_case(policy, placement, &base, n, slots, range));
             }
-            if n == max_n {
-                phases.extend(run_phases(placement, &base, n, phase_slots));
-            }
         }
+    }
+    for geo in [Geometry::strong(&mut rng), Geometry::weak(&mut rng)] {
+        phases.extend(run_phases(&geo, phase_slots));
     }
 
     let mut json = String::from("{\n");
@@ -360,7 +421,7 @@ fn main() {
     let _ = writeln!(json, "  \"bench\": \"slot_kernel\",");
     let _ = writeln!(
         json,
-        "  \"compare\": \"seed scan + full rebuild vs occupancy kernel + incremental update\","
+        "  \"compare\": \"seed scan + full rebuild vs pair sweep + incremental update\","
     );
     let _ = writeln!(json, "  \"quick\": {quick},");
     let _ = writeln!(json, "  \"results\": [");
@@ -390,8 +451,8 @@ fn main() {
         let comma = if i + 1 < phases.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{\"placement\": \"{}\", \"n\": {}, \"phase\": \"{}\", \"ms_per_slot\": {:.4}}}{comma}",
-            p.placement, p.n, p.phase, p.ms_per_slot,
+            "    {{\"geometry\": \"{}\", \"points\": {}, \"grid\": \"{}\", \"phase\": \"{}\", \"ms_per_slot\": {:.4}}}{comma}",
+            p.geometry, p.points, p.grid, p.phase, p.ms_per_slot,
         );
     }
     let _ = writeln!(json, "  ]");
@@ -434,8 +495,9 @@ fn main() {
         .iter()
         .map(|p| {
             vec![
-                p.placement.to_string(),
-                p.n.to_string(),
+                p.geometry.to_string(),
+                p.points.to_string(),
+                p.grid.clone(),
                 p.phase.to_string(),
                 format!("{:.3}", p.ms_per_slot),
             ]
@@ -443,7 +505,10 @@ fn main() {
         .collect();
     println!(
         "{}",
-        report::ascii_table(&["placement", "n", "phase", "ms/slot"], &phase_rows)
+        report::ascii_table(
+            &["geometry", "points", "grid", "phase", "ms/slot"],
+            &phase_rows
+        )
     );
     println!("wrote {}", path.display());
 

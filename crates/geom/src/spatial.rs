@@ -3,35 +3,43 @@
 //! The scheduler `S*` (Definition 10) must, for every candidate link, check
 //! that no third node lies inside the guard zone of either endpoint. A naive
 //! implementation is `O(n²)` per slot; bucketing positions into a grid whose
-//! cell side is at least the query radius makes each query `O(1)` expected
-//! for the densities that occur in the paper's regimes.
+//! cell side is at least the query radius confines every in-range pair to
+//! two adjacent cells.
 //!
-//! The index stores its buckets in a flat CSR (compressed sparse row)
-//! layout — one contiguous id array plus per-cell offsets — so that
-//! [`SpatialHash::rebuild`] can re-index a fresh snapshot of positions
-//! without allocating: the Monte-Carlo engines call it once per slot, and
-//! after the first slot every rebuild reuses the buffers grown by the
-//! previous one.
+//! The grid is sized to the radius, not to the population: a clustered
+//! placement (the weak-mobility rows of Table I) puts ~3·10³ points on a
+//! grid of ~1.7·10⁵ cells, most of them empty. So nothing that runs per
+//! slot touches every cell. The index stores a CSR (compressed sparse row)
+//! layout over the *occupied* cells only: one id array in flat cell order,
+//! the ascending list of occupied cells and their offsets, plus a per-cell
+//! rank table mapping a cell to its CSR row. A (re)build sorts the points
+//! by flat cell with a radix sort and resets the rank table only
+//! at the cells the previous layout occupied, so one slot costs
+//! `O(points + occupied cells)` however fine the grid. After the first slot
+//! every rebuild reuses the buffers grown by the previous one.
 //!
 //! Three layers of structure keep the per-slot cost down:
 //!
 //! 1. **Incremental re-indexing** ([`SpatialHash::update`]): the paper's
 //!    mobility model confines each node to a `Θ(1/f(n))` disk around its
 //!    home-point, so cell membership is overwhelmingly stable from one slot
-//!    to the next. `update` patches only the CSR suffix that actually
-//!    changed (a counting-sort repair) and falls back to a full
-//!    [`SpatialHash::rebuild`] when churn is high.
-//! 2. **Cell-occupancy arithmetic** ([`SpatialHash::unique_neighbors_into`],
-//!    [`SpatialHash::block_population`]): most guard-zone questions are
-//!    decidable from per-cell population counts alone — an empty 3×3 block
-//!    means isolated, a crowded cell means "cannot be a singleton" — so the
-//!    exact `torus_dist_sq` checks run only for the ambiguous sliver.
+//!    to the next. `update` re-sorts only the ids whose cell lies at or
+//!    after the first cell that changed, and reports a full rebuild when
+//!    churn is high.
+//! 2. **One half-stencil pair sweep** ([`SpatialHash::unique_neighbors_into`],
+//!    [`SpatialHash::for_each_pair_within`]): each occupied cell pairs its
+//!    own points, then the east cell, then the next row's three cells as one
+//!    contiguous CSR span. Every candidate pair is tested at most once, and
+//!    the guard-zone kernel keeps, per point, a hit count saturating at 2
+//!    and the last partner seen; pairs of two saturated points are skipped,
+//!    which keeps dense clusters cheap.
 //! 3. **Locality-ordered SoA buffers**: positions are mirrored into
 //!    cell-sorted `xs`/`ys` arrays so kernel passes stream memory in cell
 //!    order instead of chasing ids through the original snapshot.
 
 use crate::{Point, SquareGrid};
 use hycap_errors::HycapError;
+use std::ops::{ControlFlow, Range};
 
 /// Lower bound applied to the cell-sizing radius of the slot-path spatial
 /// index (see [`clamp_index_radius`]).
@@ -69,21 +77,23 @@ pub fn clamp_index_radius(radius: f64) -> f64 {
     radius.clamp(MIN_INDEX_RADIUS, MAX_INDEX_RADIUS)
 }
 
-/// Incremental `update` falls back to a full rebuild when more than
-/// `1 / CHURN_FALLBACK_DENOM` of the points changed cell: beyond that the
-/// suffix repair tends to start near cell 0 and re-place almost everything
-/// anyway, so the plain counting sort is cheaper and touches memory once.
+/// `update` reports [`RebuildKind::Full`] (and re-sorts every id) when
+/// more than `1 / CHURN_FALLBACK_DENOM` of the points changed cell: beyond
+/// that the first dirty cell is almost always near cell 0 anyway.
 const CHURN_FALLBACK_DENOM: usize = 4;
+
+/// Rank-table entry of a cell that holds no point.
+const EMPTY: u32 = u32::MAX;
 
 /// How the most recent [`SpatialHash::rebuild`] / [`SpatialHash::update`]
 /// refreshed the index. Exposed for tests and benches that want to assert
 /// the delta path actually engaged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RebuildKind {
-    /// Full counting-sort rebuild of the CSR layout.
+    /// Full re-sort of the CSR layout.
     #[default]
     Full,
-    /// Suffix-only counting-sort repair: only cells at or after the first
+    /// Suffix-only re-sort: only ids whose cell lies at or after the first
     /// dirty cell were re-placed.
     Incremental,
     /// No point changed cell; only positions and the SoA mirror were
@@ -91,18 +101,66 @@ pub enum RebuildKind {
     Unchanged,
 }
 
-/// Reusable scratch for the cell-occupancy kernels
+/// Reusable scratch for the guard-zone kernel
 /// ([`SpatialHash::unique_neighbors_into`]).
 ///
-/// Owning this outside the hash keeps the kernels `&self` (so they can run
+/// Owning this outside the hash keeps the kernel `&self` (so it can run
 /// while the caller holds other borrows) without allocating per call: slot
 /// workspaces hold one and reuse it across every slot.
 #[derive(Debug, Clone, Default)]
 pub struct OccupancyScratch {
-    /// Per-cell *alive* population counts (masked kernels only).
-    counts: Vec<u32>,
-    /// Flat indices of the current cell's block, deduplicated for wrap.
-    block: Vec<u32>,
+    /// Per SoA slot: in-range alive partners seen so far, saturating at 2,
+    /// or [`DEAD`] for a masked-out point.
+    hits: Vec<u8>,
+    /// Per SoA slot: the SoA slot of the last in-range partner seen.
+    partner: Vec<u32>,
+}
+
+/// `OccupancyScratch::hits` of a dead point: it neither pairs nor blocks.
+const DEAD: u8 = 3;
+
+/// A consumer of the pair sweep (`SpatialHash::sweep_pairs`), in SoA slots.
+trait PairSink {
+    /// `true` once no further pair touching `slot` can change the result.
+    /// The sweep may skip a pair whose endpoints are both settled.
+    fn settled(&self, slot: usize) -> bool;
+    /// Takes one in-range pair.
+    fn pair(&mut self, a: usize, b: usize);
+}
+
+/// The guard-zone consumer: an alive point with two in-range alive
+/// partners is settled (it cannot be a singleton), as is a dead point.
+impl PairSink for OccupancyScratch {
+    #[inline]
+    fn settled(&self, slot: usize) -> bool {
+        self.hits[slot] >= 2
+    }
+
+    #[inline]
+    fn pair(&mut self, a: usize, b: usize) {
+        if self.hits[a] == DEAD || self.hits[b] == DEAD {
+            return;
+        }
+        for (me, other) in [(a, b), (b, a)] {
+            self.hits[me] = (self.hits[me] + 1).min(2);
+            self.partner[me] = other as u32;
+        }
+    }
+}
+
+/// The every-pair consumer: nothing is ever settled.
+struct EveryPair<F>(F);
+
+impl<F: FnMut(usize, usize)> PairSink for EveryPair<F> {
+    #[inline]
+    fn settled(&self, _slot: usize) -> bool {
+        false
+    }
+
+    #[inline]
+    fn pair(&mut self, a: usize, b: usize) {
+        (self.0)(a, b);
+    }
 }
 
 /// The number of grid cells per side for a given cell-sizing radius: cell
@@ -113,21 +171,10 @@ fn cells_for_radius(max_radius: f64) -> usize {
     (1.0 / max_radius).floor().clamp(1.0, 2048.0) as usize
 }
 
-/// Counting pass of the CSR counting sort over one run of points: appends
-/// each point's flat cell to `cell_scratch` and bumps that cell's population
-/// in `starts[cell + 1]`.
+/// Appends the flat cell of every point in `points` to `cells`.
 #[inline]
-fn count_cells(
-    grid: SquareGrid,
-    points: &[Point],
-    starts: &mut [u32],
-    cell_scratch: &mut Vec<u32>,
-) {
-    for &p in points {
-        let c = grid.cell_of(p).index() as u32;
-        cell_scratch.push(c);
-        starts[c as usize + 1] += 1;
-    }
+fn push_cells(grid: SquareGrid, points: &[Point], cells: &mut Vec<u32>) {
+    cells.extend(points.iter().map(|&p| grid.cell_of(p).index() as u32));
 }
 
 /// Chebyshev cell reach covering a radius-`radius` disk: any point within
@@ -138,20 +185,21 @@ fn block_reach(radius: f64, cell_len: f64) -> isize {
     ((radius / cell_len).ceil() as isize).max(1)
 }
 
-/// Visits the flat index of every *distinct* cell in the `(2bc+1)²` block
-/// centered on `(row, col)`, collapsing to one whole-grid sweep when the
-/// block wraps past the grid size (so no cell is visited twice).
+/// Visits the flat index of every *distinct* cell in the `(2·reach+1)²`
+/// block centered on `(row, col)`, row offset outer and column offset
+/// inner, collapsing to one whole-grid sweep when the block wraps past the
+/// grid size (so no cell is visited twice). Stops at the first `Break`.
 #[inline]
-fn for_each_block_cell<F: FnMut(usize)>(
+fn walk_block<F: FnMut(usize) -> ControlFlow<()>>(
     grid: SquareGrid,
     row: usize,
     col: usize,
-    bc: isize,
+    reach: isize,
     mut f: F,
-) {
+) -> ControlFlow<()> {
     let s = grid.cells_per_side() as isize;
-    let whole = 2 * bc + 1 >= s;
-    let (lo, hi) = if whole { (0, s - 1) } else { (-bc, bc) };
+    let whole = 2 * reach + 1 >= s;
+    let (lo, hi) = if whole { (0, s - 1) } else { (-reach, reach) };
     for dr in lo..=hi {
         for dc in lo..=hi {
             let (r, c) = if whole {
@@ -162,20 +210,22 @@ fn for_each_block_cell<F: FnMut(usize)>(
                     (col as isize + dc).rem_euclid(s) as usize,
                 )
             };
-            f(grid.cell(r, c).index());
+            f(grid.cell(r, c).index())?;
         }
     }
+    ControlFlow::Continue(())
 }
 
 /// A spatial hash of indexed points on the unit torus.
 ///
-/// Buckets live in a flat CSR layout: `ids` holds the point ids of every
-/// cell back to back, cell `c` owning `ids[starts[c]..starts[c + 1]]`.
-/// Within a cell, ids are in increasing order (the rebuild pass scans the
-/// input slice in order), which keeps query iteration order identical to
-/// the historical `Vec<Vec<u32>>` bucket implementation. Alongside `ids`,
-/// the positions are mirrored into cell-sorted SoA arrays `xs`/`ys` so the
-/// hot kernels stream coordinates in cell order.
+/// Buckets live in a CSR layout over the occupied cells: `ids` holds the
+/// point ids of every occupied cell back to back in flat cell order, the
+/// `k`-th occupied cell `cells[k]` owning `ids[offsets[k]..offsets[k + 1]]`,
+/// and `rank[c]` is `k` for an occupied cell `c` (a marker otherwise).
+/// Within a cell, ids are in increasing order, which keeps query iteration
+/// order identical to the historical `Vec<Vec<u32>>` bucket implementation.
+/// Alongside `ids`, the positions are mirrored into cell-sorted SoA arrays
+/// `xs`/`ys` so the hot kernels stream coordinates in cell order.
 ///
 /// # Example
 ///
@@ -205,10 +255,17 @@ fn for_each_block_cell<F: FnMut(usize)>(
 #[derive(Debug, Clone, Default)]
 pub struct SpatialHash {
     grid: Option<SquareGrid>,
-    /// Point ids of every cell, back to back in cell order (CSR values).
+    /// Point ids of every occupied cell, back to back in flat cell order
+    /// (CSR values).
     ids: Vec<u32>,
-    /// Per-cell offsets into `ids`; length `cell_count + 1` (CSR offsets).
-    starts: Vec<u32>,
+    /// The occupied flat cells, ascending (CSR rows).
+    cells: Vec<u32>,
+    /// Offsets of the occupied cells into `ids`; `cells.len() + 1` entries
+    /// once a grid is set (CSR offsets).
+    offsets: Vec<u32>,
+    /// Per grid cell: its position in `cells`, or [`EMPTY`]. Allocated once
+    /// per grid shape; a rebuild resets only the entries it re-places.
+    rank: Vec<u32>,
     /// Cell-sorted x coordinates: `xs[slot]` is the x of `ids[slot]`.
     xs: Vec<f64>,
     /// Cell-sorted y coordinates: `ys[slot]` is the y of `ids[slot]`.
@@ -221,20 +278,21 @@ pub struct SpatialHash {
     /// Inverse CSR permutation, filled by streamed builds only:
     /// `slot_of[id]` is the SoA slot holding point `id`.
     slot_of: Vec<u32>,
-    /// Rebuild scratch: the flat cell index of each point, in id order.
-    /// Written by the counting pass (for a streamed build, while the
-    /// stream runs), read by the placement pass, and kept across `update`
-    /// calls.
+    /// The flat cell index of each point, in id order. Written by the cell
+    /// pass (for a streamed build, while the stream runs), read by the
+    /// sort, and kept across `update` calls.
     cell_scratch: Vec<u32>,
     /// Streamed-build scratch: the streamed positions in id order, staged
-    /// by the counting pass so placement need not run the stream again.
+    /// by the cell pass so placement need not run the stream again.
     /// Reserved once to exactly the declared length and reused across
     /// slots; materialized builds leave it untouched.
     staged: Vec<Point>,
-    /// `update` scratch: the new flat cell index of each point.
-    next_cells: Vec<u32>,
-    /// `update` scratch: per-cell population counts over the dirty suffix.
-    update_counts: Vec<u32>,
+    /// Scratch of up to one `u32` per point: `update` computes the new
+    /// cell of each point here, swaps it into `cell_scratch`, and the radix
+    /// sort then reuses the buffer for the re-placed ids in low-digit order.
+    scratch: Vec<u32>,
+    /// Radix-sort scratch: low-digit then high-digit bucket cursors.
+    digit_counts: Vec<u32>,
     cell_len: f64,
     last_rebuild: RebuildKind,
 }
@@ -271,8 +329,7 @@ impl SpatialHash {
     /// first call, rebuilding with snapshots of the same (or smaller) size
     /// and a radius mapping to the same grid resolution performs **no**
     /// allocations. Slot loops should prefer [`SpatialHash::update`], which
-    /// additionally skips the full counting sort when few points changed
-    /// cell.
+    /// additionally skips the sort when few points changed cell.
     ///
     /// # Panics
     ///
@@ -287,74 +344,153 @@ impl SpatialHash {
             points.len() <= u32::MAX as usize,
             "too many points for the spatial hash"
         );
-        // Cell side >= max_radius so that a radius-r query only needs the
-        // 3x3 (or slightly larger) block of cells around the query point.
-        // Cap the cell count for tiny radii to bound memory.
-        let cells = cells_for_radius(max_radius);
-        let grid = match self.grid {
-            Some(g) if g.cells_per_side() == cells => g,
-            _ => SquareGrid::with_cells_per_side(cells),
-        };
-        self.cell_len = grid.cell_len();
+        let grid = self.use_grid(cells_for_radius(max_radius));
         self.points.clear();
         self.points.extend_from_slice(points);
-        self.begin_count(grid, points.len());
-        count_cells(grid, points, &mut self.starts, &mut self.cell_scratch);
-        self.place::<false>(points);
-        self.grid = Some(grid);
+        self.cell_scratch.clear();
+        push_cells(grid, points, &mut self.cell_scratch);
+        self.place_from(0);
+        self.mirror::<false>(points);
         self.last_rebuild = RebuildKind::Full;
     }
 
-    /// Resets the counting-pass state for `len` points on `grid`: zeroed
-    /// per-cell counts and an empty `cell_scratch` with room for exactly
-    /// `len` cell ids, so the counting pass never reallocates.
-    fn begin_count(&mut self, grid: SquareGrid, len: usize) {
-        self.starts.clear();
-        self.starts.resize(grid.cell_count() + 1, 0);
-        self.cell_scratch.clear();
-        self.cell_scratch.reserve_exact(len);
+    /// Switches to the grid with `cells` cells per side. Cell side
+    /// `>= max_radius` so that a radius-`r` query only needs the 3×3 (or
+    /// slightly larger) block of cells around the query point. A new shape
+    /// allocates a fresh all-empty rank table (the only `O(cells)` work,
+    /// once per shape); the same shape keeps the current layout for
+    /// [`SpatialHash::place_from`] to re-sort.
+    fn use_grid(&mut self, cells: usize) -> SquareGrid {
+        if let Some(g) = self.grid.filter(|g| g.cells_per_side() == cells) {
+            return g;
+        }
+        let grid = SquareGrid::with_cells_per_side(cells);
+        self.grid = Some(grid);
+        self.cell_len = grid.cell_len();
+        self.rank.clear();
+        self.rank.resize(grid.cell_count(), EMPTY);
+        self.cells.clear();
+        self.offsets.clear();
+        self.offsets.push(0);
+        grid
     }
 
-    /// Placement pass of the counting sort, after the counting pass left
-    /// the population of cell `c` in `starts[c + 1]` and the cell of every
-    /// point in `cell_scratch`. Scans `points` in id order so each cell's
-    /// ids come out increasing (the order the historical per-cell Vecs
-    /// received them) and fills the SoA mirror in the same sweep; with
-    /// `INVERSE`, also fills `slot_of`.
-    fn place<const INVERSE: bool>(&mut self, points: &[Point]) {
-        let cell_count = self.starts.len() - 1;
-        // Prefix sum: starts[c] = first slot of cell c.
-        for c in 0..cell_count {
-            self.starts[c + 1] += self.starts[c];
+    /// Re-sorts, into `ids`, every point whose cell (in `cell_scratch`) is
+    /// at or after `first_dirty`, and rebuilds the occupancy of those
+    /// cells. The ids and occupied cells before `first_dirty` must already
+    /// be in place.
+    ///
+    /// The sort is a stable LSD radix sort on the flat cell index (one
+    /// counting pass, or two digits when the grid has more cells than
+    /// there are points), fed in id order, so each cell's ids come out
+    /// increasing and the layout is that of a counting sort over every
+    /// cell. It costs `O(points + √cells)`; only the cells the old layout
+    /// occupied from `first_dirty` on have their rank reset.
+    fn place_from(&mut self, first_dirty: usize) {
+        let kept = self.cells.partition_point(|&c| (c as usize) < first_dirty);
+        for &c in &self.cells[kept..] {
+            self.rank[c as usize] = EMPTY;
         }
-        let len = points.len();
-        self.ids.clear();
+        self.cells.truncate(kept);
+        self.offsets.truncate(kept + 1);
+        let base = self.offsets[kept] as usize;
+        let len = self.cell_scratch.len();
         self.ids.resize(len, 0);
-        self.xs.clear();
+
+        // One counting pass when a bucket per cell costs no more than the
+        // points; otherwise two digits, the low `lo_bits` bits of the flat
+        // cell and then the rest, so no pass is `O(cells)`.
+        let bits = usize::BITS - (self.rank.len() - 1).leading_zeros();
+        let two_digits = 1usize << bits > len;
+        let lo_bits = if two_digits { bits / 2 } else { bits };
+        let lo_mask = (1u32 << lo_bits) - 1;
+        let lo_len = 1usize << lo_bits;
+        let hi_len = if two_digits { 1 << (bits - lo_bits) } else { 0 };
+        self.digit_counts.clear();
+        self.digit_counts.resize(lo_len + hi_len, 0);
+        let (lo, hi) = self.digit_counts.split_at_mut(lo_len);
+        let first = first_dirty as u32;
+        for &c in &self.cell_scratch {
+            if c >= first {
+                lo[(c & lo_mask) as usize] += 1;
+                if two_digits {
+                    hi[(c >> lo_bits) as usize] += 1;
+                }
+            }
+        }
+        // Exclusive prefix sums: bucket cursors, the last pass offset by
+        // the untouched prefix.
+        let mut at = 0;
+        for n in lo.iter_mut() {
+            let count = *n;
+            *n = at;
+            at += count;
+        }
+        debug_assert_eq!(at as usize, len - base, "suffix holds the re-placed ids");
+        let mut at = base as u32;
+        for n in hi.iter_mut() {
+            let count = *n;
+            *n = at;
+            at += count;
+        }
+        let low_pass = if two_digits {
+            self.scratch.clear();
+            self.scratch.resize(len - base, 0);
+            &mut self.scratch[..]
+        } else {
+            &mut self.ids[base..]
+        };
+        for (id, &c) in self.cell_scratch.iter().enumerate() {
+            if c >= first {
+                let d = (c & lo_mask) as usize;
+                low_pass[lo[d] as usize] = id as u32;
+                lo[d] += 1;
+            }
+        }
+        if two_digits {
+            for &id in &self.scratch {
+                let d = (self.cell_scratch[id as usize] >> lo_bits) as usize;
+                self.ids[hi[d] as usize] = id;
+                hi[d] += 1;
+            }
+        }
+
+        // Occupancy of the re-placed cells: one CSR row per run.
+        let mut prev = EMPTY;
+        for slot in base..len {
+            let c = self.cell_scratch[self.ids[slot] as usize];
+            if c != prev {
+                if slot > base {
+                    self.offsets.push(slot as u32);
+                }
+                self.rank[c as usize] = self.cells.len() as u32;
+                self.cells.push(c);
+                prev = c;
+            }
+        }
+        if len > base {
+            self.offsets.push(len as u32);
+        }
+    }
+
+    /// Refreshes the cell-sorted SoA mirror from the id-ordered `points`;
+    /// with `INVERSE`, also fills `slot_of`.
+    fn mirror<const INVERSE: bool>(&mut self, points: &[Point]) {
+        let len = self.ids.len();
         self.xs.resize(len, 0.0);
-        self.ys.clear();
         self.ys.resize(len, 0.0);
         self.slot_of.clear();
         if INVERSE {
             self.slot_of.resize(len, 0);
         }
-        // starts[c] serves as the cursor of cell c.
-        for (id, (&cell, &p)) in self.cell_scratch.iter().zip(points).enumerate() {
-            let slot = self.starts[cell as usize] as usize;
-            self.ids[slot] = id as u32;
+        for (slot, &id) in self.ids.iter().enumerate() {
+            let p = points[id as usize];
             self.xs[slot] = p.x;
             self.ys[slot] = p.y;
             if INVERSE {
-                self.slot_of[id] = slot as u32;
+                self.slot_of[id as usize] = slot as u32;
             }
-            self.starts[cell as usize] = slot as u32 + 1;
         }
-        // After placement starts[c] holds the *end* of cell c; shift right
-        // to restore "starts[c] = begin of cell c".
-        for c in (1..=cell_count).rev() {
-            self.starts[c] = self.starts[c - 1];
-        }
-        self.starts[0] = 0;
     }
 
     /// Empties the index, keeping its buffers for reuse: afterwards
@@ -362,7 +498,9 @@ impl SpatialHash {
     fn clear(&mut self) {
         self.grid = None;
         self.ids.clear();
-        self.starts.clear();
+        self.cells.clear();
+        self.offsets.clear();
+        self.rank.clear();
         self.xs.clear();
         self.ys.clear();
         self.points.clear();
@@ -439,9 +577,9 @@ impl SpatialHash {
     /// to its argument. Nothing is replayed, so the stream need not be
     /// replayable: a counter-based slot RNG, a file reader or any one-shot
     /// source works. While the stream runs, each point's cell is recorded
-    /// and the per-cell populations counted, and its coordinates are
-    /// staged in an index-owned buffer reserved to exactly `len` points;
-    /// the placement pass then scatters from that buffer into cell order.
+    /// and its coordinates are staged in an index-owned buffer reserved to
+    /// exactly `len` points; the sort then places from that buffer into
+    /// cell order.
     ///
     /// The CSR layout, the SoA coordinate mirror, the cached cells and
     /// every query kernel are byte-identical to [`SpatialHash::rebuild`]
@@ -487,28 +625,23 @@ impl SpatialHash {
         F: FnMut(&mut dyn FnMut(&[Point])),
     {
         Self::check_build_inputs(len, max_radius)?;
-        let cells = cells_for_radius(max_radius);
-        let grid = match self.grid {
-            Some(g) if g.cells_per_side() == cells => g,
-            _ => SquareGrid::with_cells_per_side(cells),
-        };
-        self.cell_len = grid.cell_len();
+        let grid = self.use_grid(cells_for_radius(max_radius));
         self.points.clear();
-        self.begin_count(grid, len);
+        self.cell_scratch.clear();
+        self.cell_scratch.reserve_exact(len);
         self.staged.clear();
         self.staged.reserve_exact(len);
 
-        // The one pass over the stream: count and stage. Points past `len`
-        // are only counted, so neither buffer outgrows its reservation;
-        // the overflow is rejected below.
+        // The one pass over the stream: record cells and stage. Points
+        // past `len` are only counted, so neither buffer outgrows its
+        // reservation; the overflow is rejected below.
         let mut emitted = 0usize;
         {
-            let starts = &mut self.starts;
             let cell_scratch = &mut self.cell_scratch;
             let staged = &mut self.staged;
             stream(&mut |chunk: &[Point]| {
                 let take = chunk.len().min(len - staged.len());
-                count_cells(grid, &chunk[..take], starts, cell_scratch);
+                push_cells(grid, &chunk[..take], cell_scratch);
                 staged.extend_from_slice(&chunk[..take]);
                 emitted += chunk.len();
             });
@@ -523,16 +656,16 @@ impl SpatialHash {
 
         // Placement from the staged copy, filling the inverse permutation
         // that backs `position` lookups.
+        self.place_from(0);
         let staged = std::mem::take(&mut self.staged);
-        self.place::<true>(&staged);
+        self.mirror::<true>(&staged);
         self.staged = staged;
-        self.grid = Some(grid);
         self.last_rebuild = RebuildKind::Full;
         Ok(())
     }
 
-    /// Re-indexes a new snapshot of the *same* population, patching the CSR
-    /// layout incrementally when little has changed.
+    /// Re-indexes a new snapshot of the *same* population, re-sorting only
+    /// the part of the CSR layout that changed.
     ///
     /// Produces a layout byte-identical to [`SpatialHash::rebuild`] on the
     /// same input. Three paths, reported by the return value:
@@ -540,13 +673,16 @@ impl SpatialHash {
     /// - [`RebuildKind::Unchanged`]: no point changed cell; only the stored
     ///   positions and the SoA mirror are refreshed (`O(n)`).
     /// - [`RebuildKind::Incremental`]: a bounded fraction of points changed
-    ///   cell; the CSR suffix starting at the first dirty cell is repaired
-    ///   with a counting sort over the affected cells only. Cells (and the
-    ///   id prefix) before the first dirty cell are untouched because every
-    ///   move's source and destination cell lie at or after it.
+    ///   cell; only the ids in cells at or after the first dirty cell are
+    ///   re-sorted. Cells (and the id prefix) before the first dirty cell
+    ///   are untouched because every move's source and destination cell lie
+    ///   at or after it.
     /// - [`RebuildKind::Full`]: the snapshot has a different length, maps to
     ///   a different grid resolution, or more than `1/4` of the points
-    ///   changed cell — delegate to [`SpatialHash::rebuild`].
+    ///   changed cell — every id is re-sorted.
+    ///
+    /// No path touches the cells that were empty and stay empty, so a slot
+    /// costs `O(points + occupied cells)` whatever the grid size.
     ///
     /// # Panics
     ///
@@ -569,91 +705,38 @@ impl SpatialHash {
             return RebuildKind::Full;
         }
         let grid = self.grid.expect("same_shape implies a grid");
-        let cell_count = grid.cell_count();
-        // Pass 1: the new cell of every point; count churn and track the
-        // first cell whose CSR range can change. A move from cell a to cell
-        // b only perturbs offsets at or after min(a, b).
-        self.next_cells.clear();
+        // The new cell of every point; count churn and track the first cell
+        // whose CSR range can change. A move from cell a to cell b only
+        // perturbs the layout at or after min(a, b).
+        self.scratch.clear();
         let mut churn = 0usize;
-        let mut first_dirty = cell_count;
+        let mut first_dirty = grid.cell_count();
         for (id, &p) in points.iter().enumerate() {
             let c = grid.cell_of(p).index() as u32;
-            self.next_cells.push(c);
+            self.scratch.push(c);
             let old = self.cell_scratch[id];
             if c != old {
                 churn += 1;
                 first_dirty = first_dirty.min(old.min(c) as usize);
             }
         }
-        if churn * CHURN_FALLBACK_DENOM > points.len() {
-            // Full counting sort, but counted from the cells pass 1 just
-            // computed: i.i.d. mobility lands here every slot, and a
-            // `rebuild` would compute every point's cell a second time.
-            std::mem::swap(&mut self.cell_scratch, &mut self.next_cells);
-            self.points.clear();
-            self.points.extend_from_slice(points);
-            self.starts.clear();
-            self.starts.resize(cell_count + 1, 0);
-            for &c in &self.cell_scratch {
-                self.starts[c as usize + 1] += 1;
-            }
-            self.place::<false>(points);
-            self.last_rebuild = RebuildKind::Full;
-            return RebuildKind::Full;
-        }
-        let kind = if churn == 0 {
+        let kind = if churn * CHURN_FALLBACK_DENOM > points.len() {
+            first_dirty = 0;
+            RebuildKind::Full
+        } else if churn == 0 {
             RebuildKind::Unchanged
         } else {
             RebuildKind::Incremental
         };
-        if churn > 0 {
-            // Counting-sort repair of the suffix [first_dirty, cell_count):
-            // derive new per-cell counts by patching the old ones (readable
-            // from the still-intact starts), prefix-sum from the unchanged
-            // base offset, and re-place exactly the ids living in the
-            // suffix — in increasing id order, preserving the per-cell id
-            // ordering invariant of `rebuild`.
-            let base = self.starts[first_dirty];
-            self.update_counts.clear();
-            self.update_counts
-                .extend((first_dirty..cell_count).map(|c| self.starts[c + 1] - self.starts[c]));
-            for (id, &c) in self.next_cells.iter().enumerate() {
-                let old = self.cell_scratch[id];
-                if c != old {
-                    self.update_counts[old as usize - first_dirty] -= 1;
-                    self.update_counts[c as usize - first_dirty] += 1;
-                }
-            }
-            let mut running = base;
-            for (off, &cnt) in self.update_counts.iter().enumerate() {
-                self.starts[first_dirty + off] = running;
-                running += cnt;
-            }
-            debug_assert_eq!(running as usize, points.len());
-            for (id, &c) in self.next_cells.iter().enumerate() {
-                let c = c as usize;
-                if c < first_dirty {
-                    continue;
-                }
-                let slot = self.starts[c];
-                self.ids[slot as usize] = id as u32;
-                self.starts[c] = slot + 1;
-            }
-            for c in ((first_dirty + 1)..=cell_count).rev() {
-                self.starts[c] = self.starts[c - 1];
-            }
-            self.starts[first_dirty] = base;
+        std::mem::swap(&mut self.cell_scratch, &mut self.scratch);
+        if kind != RebuildKind::Unchanged {
+            self.place_from(first_dirty);
         }
-        std::mem::swap(&mut self.cell_scratch, &mut self.next_cells);
         self.points.clear();
         self.points.extend_from_slice(points);
         // Every position moves every slot even when no cell does: refresh
         // the cell-ordered SoA mirror wholesale (sequential write, cheap).
-        for (slot, &id) in self.ids.iter().enumerate() {
-            let p = points[id as usize];
-            self.xs[slot] = p.x;
-            self.ys[slot] = p.y;
-        }
+        self.mirror::<false>(points);
         self.last_rebuild = kind;
         kind
     }
@@ -691,13 +774,18 @@ impl SpatialHash {
     #[inline]
     pub fn position(&self, id: usize) -> Point {
         if self.points.is_empty() && !self.ids.is_empty() {
-            let slot = self.slot_of[id] as usize;
-            Point {
-                x: self.xs[slot],
-                y: self.ys[slot],
-            }
+            self.slot_point(self.slot_of[id] as usize)
         } else {
             self.points[id]
+        }
+    }
+
+    /// The position held in SoA slot `slot`.
+    #[inline]
+    fn slot_point(&self, slot: usize) -> Point {
+        Point {
+            x: self.xs[slot],
+            y: self.ys[slot],
         }
     }
 
@@ -716,19 +804,38 @@ impl SpatialHash {
             .morton()
     }
 
-    /// The ids bucketed in flat cell `idx`, in increasing order.
-    #[cfg(test)]
-    fn cell_ids(&self, idx: usize) -> &[u32] {
-        &self.ids[self.starts[idx] as usize..self.starts[idx + 1] as usize]
+    /// The SoA slots of flat cell `cell` (empty when nobody is there).
+    #[inline]
+    fn cell_slots(&self, cell: usize) -> Range<usize> {
+        match self.rank[cell] {
+            EMPTY => 0..0,
+            k => self.offsets[k as usize] as usize..self.offsets[k as usize + 1] as usize,
+        }
     }
 
-    /// The raw CSR layout `(starts, ids)` of the index.
+    /// The SoA slots of the flat cells `first..=last`, which are adjacent
+    /// in the layout and so form one contiguous span.
+    #[inline]
+    fn run_slots(&self, first: usize, last: usize) -> Range<usize> {
+        let mut ranks = self.rank[first..=last].iter().filter(|&&k| k != EMPTY);
+        match (ranks.next(), ranks.next_back()) {
+            (None, _) => 0..0,
+            (Some(&a), b) => {
+                let b = b.copied().unwrap_or(a);
+                self.offsets[a as usize] as usize..self.offsets[b as usize + 1] as usize
+            }
+        }
+    }
+
+    /// The raw CSR layout `(cells, offsets, ids)` of the index: the
+    /// occupied flat cells ascending, their offsets into `ids`, and the
+    /// point ids in cell order.
     ///
     /// Test-only accessor for cross-crate equivalence checks (incremental
     /// `update` vs fresh `build`); not part of the supported API surface.
     #[doc(hidden)]
-    pub fn csr_layout(&self) -> (&[u32], &[u32]) {
-        (&self.starts, &self.ids)
+    pub fn csr_layout(&self) -> (&[u32], &[u32], &[u32]) {
+        (&self.cells, &self.offsets, &self.ids)
     }
 
     /// Ids of all points strictly within distance `radius` of `center`
@@ -746,47 +853,51 @@ impl SpatialHash {
         out
     }
 
+    /// The one per-point block scan: calls `f(slot)` for every SoA slot
+    /// strictly within `radius` of `center`, walking the cells within
+    /// `reach` of `center`'s cell in [`walk_block`] order and each cell's
+    /// ids in increasing order. Stops at the first `Break`, which it
+    /// returns.
+    #[inline]
+    fn scan_disk<F: FnMut(usize) -> ControlFlow<()>>(
+        &self,
+        center: Point,
+        radius: f64,
+        reach: isize,
+        mut f: F,
+    ) -> ControlFlow<()> {
+        let Some(grid) = self.grid else {
+            return ControlFlow::Continue(());
+        };
+        let r2 = radius * radius;
+        let home = grid.cell_of(center);
+        walk_block(grid, home.row(), home.col(), reach, |idx| {
+            for t in self.cell_slots(idx) {
+                // The SoA mirror is bit-identical to the stored points.
+                if self.slot_point(t).torus_dist_sq(center) < r2 {
+                    f(t)?;
+                }
+            }
+            ControlFlow::Continue(())
+        })
+    }
+
+    /// Reach of the per-point queries: one ring beyond the covering block.
+    /// (Saturating: a never-built index has `cell_len == 0`.)
+    #[inline]
+    fn query_reach(&self, radius: f64) -> isize {
+        ((radius / self.cell_len).ceil() as isize).saturating_add(1)
+    }
+
     /// Calls `f(id)` for every point strictly within `radius` of `center`.
     ///
     /// This is the allocation-free radius visitor; iteration order is the
     /// fixed cell-block order relied upon by the deterministic schedulers.
     pub fn for_each_within<F: FnMut(usize)>(&self, center: Point, radius: f64, mut f: F) {
-        let Some(grid) = self.grid else { return };
-        let r2 = radius * radius;
-        let s = grid.cells_per_side() as isize;
-        let reach = (radius / self.cell_len).ceil() as isize + 1;
-        let home = grid.cell_of(center);
-        // When the reach covers the whole grid, visit each cell exactly once.
-        let (lo, hi) = if 2 * reach + 1 >= s {
-            (0, s - 1)
-        } else {
-            (-reach, reach)
-        };
-        let whole = 2 * reach + 1 >= s;
-        for dr in lo..=hi {
-            for dc in lo..=hi {
-                let (row, col) = if whole {
-                    (dr as usize, dc as usize)
-                } else {
-                    (
-                        (home.row() as isize + dr).rem_euclid(s) as usize,
-                        (home.col() as isize + dc).rem_euclid(s) as usize,
-                    )
-                };
-                let idx = grid.cell(row, col).index();
-                for t in self.starts[idx] as usize..self.starts[idx + 1] as usize {
-                    // Stream the cell-sorted SoA mirror; coordinates are
-                    // bit-identical to the stored points.
-                    let q = Point {
-                        x: self.xs[t],
-                        y: self.ys[t],
-                    };
-                    if q.torus_dist_sq(center) < r2 {
-                        f(self.ids[t] as usize);
-                    }
-                }
-            }
-        }
+        let _ = self.scan_disk(center, radius, self.query_reach(radius), |t| {
+            f(self.ids[t] as usize);
+            ControlFlow::Continue(())
+        });
     }
 
     /// Returns `true` when any indexed point other than those in `exclude`
@@ -795,41 +906,14 @@ impl SpatialHash {
     /// This is the primitive used for the guard-zone test of scheduler `S*`:
     /// "for every other node `l`, `min(d_lj, d_li) > (1+Δ)R_T`".
     pub fn any_within_excluding(&self, center: Point, radius: f64, exclude: &[usize]) -> bool {
-        let Some(grid) = self.grid else { return false };
-        let r2 = radius * radius;
-        let s = grid.cells_per_side() as isize;
-        let reach = (radius / self.cell_len).ceil() as isize + 1;
-        let home = grid.cell_of(center);
-        let (lo, hi) = if 2 * reach + 1 >= s {
-            (0, s - 1)
-        } else {
-            (-reach, reach)
-        };
-        let whole = 2 * reach + 1 >= s;
-        for dr in lo..=hi {
-            for dc in lo..=hi {
-                let (row, col) = if whole {
-                    (dr as usize, dc as usize)
-                } else {
-                    (
-                        (home.row() as isize + dr).rem_euclid(s) as usize,
-                        (home.col() as isize + dc).rem_euclid(s) as usize,
-                    )
-                };
-                let idx = grid.cell(row, col).index();
-                for t in self.starts[idx] as usize..self.starts[idx + 1] as usize {
-                    let id = self.ids[t] as usize;
-                    let q = Point {
-                        x: self.xs[t],
-                        y: self.ys[t],
-                    };
-                    if !exclude.contains(&id) && q.torus_dist_sq(center) < r2 {
-                        return true;
-                    }
-                }
+        self.scan_disk(center, radius, self.query_reach(radius), |t| {
+            if exclude.contains(&(self.ids[t] as usize)) {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break(())
             }
-        }
-        false
+        })
+        .is_break()
     }
 
     /// Counts indexed points strictly within `radius` of `center`.
@@ -837,27 +921,6 @@ impl SpatialHash {
         let mut n = 0;
         self.for_each_within(center, radius, |_| n += 1);
         n
-    }
-
-    /// Fills `counts` with the per-cell population of *alive* points:
-    /// `counts[c]` is the number of ids in cell `c` with `alive[id]`.
-    ///
-    /// `O(n + cell_count)`; the masked occupancy kernels call this once per
-    /// slot so per-node scans can prune on exact alive counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alive.len()` differs from [`SpatialHash::len`].
-    pub fn fill_alive_cell_counts(&self, alive: &[bool], counts: &mut Vec<u32>) {
-        assert_eq!(alive.len(), self.ids.len(), "alive mask length mismatch");
-        let cell_count = self.starts.len().saturating_sub(1);
-        counts.clear();
-        counts.resize(cell_count, 0);
-        for (id, &c) in self.cell_scratch.iter().enumerate() {
-            if alive[id] {
-                counts[c as usize] += 1;
-            }
-        }
     }
 
     /// Total indexed population (alive or not) of the cell block that
@@ -873,14 +936,107 @@ impl SpatialHash {
     /// Panics if `id` is out of range.
     pub fn block_population(&self, id: usize, radius: f64) -> usize {
         let Some(grid) = self.grid else { return 0 };
-        let c = self.cell_scratch[id] as usize;
-        let s = grid.cells_per_side();
-        let bc = block_reach(radius, self.cell_len);
+        let c = grid.cell_from_index(self.cell_scratch[id] as usize);
         let mut pop = 0usize;
-        for_each_block_cell(grid, c / s, c % s, bc, |idx| {
-            pop += (self.starts[idx + 1] - self.starts[idx]) as usize;
-        });
+        let _ = walk_block(
+            grid,
+            c.row(),
+            c.col(),
+            block_reach(radius, self.cell_len),
+            |idx| {
+                pop += self.cell_slots(idx).len();
+                ControlFlow::Continue(())
+            },
+        );
         pop
+    }
+
+    /// The pair sweep behind both pair kernels: hands `sink` exactly once
+    /// every unordered pair of distinct SoA slots whose points lie strictly
+    /// within `radius` of each other, except that a pair whose endpoints
+    /// are both [`PairSink::settled`] may be skipped untested. Emission
+    /// order is unspecified.
+    ///
+    /// Every occupied cell first pairs its own points. Then, when the grid
+    /// has at least 4 cells per side and `radius` fits in one cell,
+    /// in-range pairs lie in the same or adjacent cells, and the forward
+    /// half-stencil visits each adjacent cell pair once: every occupied
+    /// cell pairs with the east cell, then with the next row's three cells.
+    /// Away from the column wrap those three are adjacent in flat order, so
+    /// their points form one contiguous span. Otherwise (a reach of 2 or
+    /// more, or a block that wraps the whole grid) each occupied cell pairs
+    /// with the later cells of its block.
+    ///
+    /// Once all of a cell's points are settled, a cross-cell pass tests each
+    /// unsettled partner only until it settles: the per-node early exit of
+    /// a radius scan, for dense regions.
+    fn sweep_pairs<S: PairSink>(&self, radius: f64, sink: &mut S) {
+        let Some(grid) = self.grid else { return };
+        let r2 = radius * radius;
+        let s = grid.cells_per_side();
+        let reach = block_reach(radius, self.cell_len);
+        let mut cross = |own: Range<usize>, other: Range<usize>| {
+            if own.clone().all(|a| sink.settled(a)) {
+                // With `own` settled, a pair matters only to an unsettled
+                // `b`, and only until `b` settles: the per-node early exit
+                // of a radius scan, which keeps dense regions cheap.
+                for b in other {
+                    let q = self.slot_point(b);
+                    for a in own.clone() {
+                        if sink.settled(b) {
+                            break;
+                        }
+                        if q.torus_dist_sq(self.slot_point(a)) < r2 {
+                            sink.pair(a, b);
+                        }
+                    }
+                }
+                return;
+            }
+            for a in own {
+                let p = self.slot_point(a);
+                for b in other.clone() {
+                    if p.torus_dist_sq(self.slot_point(b)) < r2 {
+                        sink.pair(a, b);
+                    }
+                }
+            }
+        };
+        // Pairs within a cell first: in a dense region they settle most
+        // points before any cross-cell pair is tested.
+        for own in self.offsets.windows(2) {
+            for a in own[0] as usize..own[1] as usize {
+                cross(a..a + 1, a + 1..own[1] as usize);
+            }
+        }
+        for (k, &c) in self.cells.iter().enumerate() {
+            let c = c as usize;
+            let own = self.offsets[k] as usize..self.offsets[k + 1] as usize;
+            if reach == 1 && s >= 4 {
+                let (row, col) = (c / s, c % s);
+                let east = if col + 1 == s { c + 1 - s } else { c + 1 };
+                cross(own.clone(), self.cell_slots(east));
+                let below = if row + 1 == s { 0 } else { (row + 1) * s };
+                if col > 0 && col + 1 < s {
+                    cross(own, self.run_slots(below + col - 1, below + col + 1));
+                } else {
+                    for dc in [(col + s - 1) % s, col, (col + 1) % s] {
+                        cross(own.clone(), self.cell_slots(below + dc));
+                    }
+                }
+            } else if 2 * reach + 1 >= s as isize {
+                for &other in &self.cells[k + 1..] {
+                    cross(own.clone(), self.cell_slots(other as usize));
+                }
+            } else {
+                let _ = walk_block(grid, c / s, c % s, reach, |idx| {
+                    if idx > c {
+                        cross(own.clone(), self.cell_slots(idx));
+                    }
+                    ControlFlow::Continue(())
+                });
+            }
+        }
     }
 
     /// The singleton-guard-zone kernel of scheduler `S*`: for every alive
@@ -888,21 +1044,17 @@ impl SpatialHash {
     /// strictly within `radius` of `i`, or `usize::MAX` when `i` has zero
     /// or more than one such neighbor (or is itself dead).
     ///
-    /// Result-identical to running the naive per-node radius scan, but
-    /// decided from cell-occupancy arithmetic wherever possible:
+    /// One pass of the pair sweep tests every candidate pair at most once;
+    /// both endpoints of an in-range pair get a hit (saturating at 2) and
+    /// remember the other as their last partner, and a point with exactly
+    /// one hit reports that partner. A pair of two saturated points is
+    /// skipped untested, since it cannot change either answer. Dead points
+    /// (`alive[i] == false`) are checked per point and neither pair nor
+    /// block. The result is a set function of the snapshot, identical to
+    /// the per-node radius scan.
     ///
-    /// - cells whose covering block holds `<= 1` (alive) point are skipped
-    ///   wholesale — every member is isolated;
-    /// - when the cell diagonal fits inside `radius`, a cell with `>= 3`
-    ///   alive members cannot contain a singleton (each member already has
-    ///   two strict neighbors), so the cell is skipped;
-    /// - the remaining ambiguous sliver runs exact `torus_dist_sq` checks,
-    ///   early-exiting each node's scan at the second hit (two neighbors
-    ///   already disqualify a singleton regardless of the rest).
-    ///
-    /// Pass `alive: None` for the unmasked (fault-free) variant. The scan
-    /// streams the cell-sorted SoA mirror, so iteration is cache-local in
-    /// cell order; `out` is indexed by original point id.
+    /// Pass `alive: None` for the unmasked (fault-free) variant. `out` is
+    /// indexed by original point id.
     ///
     /// # Panics
     ///
@@ -915,113 +1067,36 @@ impl SpatialHash {
         scratch: &mut OccupancyScratch,
         out: &mut Vec<usize>,
     ) {
+        let n = self.ids.len();
         out.clear();
-        out.resize(self.ids.len(), usize::MAX);
-        let Some(grid) = self.grid else { return };
+        out.resize(n, usize::MAX);
+        if self.grid.is_none() {
+            return;
+        }
         assert!(
             radius.is_finite() && radius > 0.0,
             "radius must be positive, got {radius}"
         );
         if let Some(mask) = alive {
-            assert_eq!(mask.len(), self.ids.len(), "alive mask length mismatch");
+            assert_eq!(mask.len(), n, "alive mask length mismatch");
         }
-        let r2 = radius * radius;
-        let s = grid.cells_per_side();
-        let bc = block_reach(radius, self.cell_len);
-        let cell_count = grid.cell_count();
-        // With a mask, exact alive counts make both prunes exact; skip the
-        // O(cell_count) pass only when the grid dwarfs the population
-        // (tiny-radius regimes), where totals still give a sound bound.
-        let masked_counts = match alive {
-            Some(mask) if cell_count <= 4 * self.points.len().max(256) => {
-                self.fill_alive_cell_counts(mask, &mut scratch.counts);
-                true
+        scratch.hits.clear();
+        scratch.partner.clear();
+        scratch.partner.resize(n, 0);
+        match alive {
+            None => scratch.hits.resize(n, 0),
+            Some(mask) => {
+                scratch.hits.extend(
+                    self.ids
+                        .iter()
+                        .map(|&id| if mask[id as usize] { 0 } else { DEAD }),
+                )
             }
-            _ => false,
-        };
-        let counts_exact = masked_counts || alive.is_none();
-        // Any two points sharing a cell differ by < cell_len per axis, so
-        // their distance is strictly below the cell diagonal.
-        let same_cell_close = 2.0 * self.cell_len * self.cell_len <= r2;
-
-        for c in 0..cell_count {
-            let begin = self.starts[c] as usize;
-            let end = self.starts[c + 1] as usize;
-            if begin == end {
-                continue;
-            }
-            scratch.block.clear();
-            for_each_block_cell(grid, c / s, c % s, bc, |idx| scratch.block.push(idx as u32));
-            let mut block_pop: u64 = 0;
-            for &idx in &scratch.block {
-                let idx = idx as usize;
-                block_pop += if masked_counts {
-                    u64::from(scratch.counts[idx])
-                } else {
-                    u64::from(self.starts[idx + 1] - self.starts[idx])
-                };
-            }
-            // Prune 1: the block holds at most one point — each member sees
-            // nobody but itself, so all stay MAX. (With a mask but without
-            // alive counts the total still upper-bounds the alive count.)
-            if block_pop <= 1 {
-                continue;
-            }
-            // Prune 2: >= 3 alive members in this cell are pairwise within
-            // radius, so each has >= 2 neighbors — no singleton here.
-            if counts_exact && same_cell_close {
-                let cell_pop = if masked_counts {
-                    scratch.counts[c] as usize
-                } else {
-                    end - begin
-                };
-                if cell_pop >= 3 {
-                    continue;
-                }
-            }
-            // Ambiguous sliver: exact scan per alive member, early-exiting
-            // at the second in-radius neighbor.
-            for slot in begin..end {
-                let i = self.ids[slot] as usize;
-                if let Some(mask) = alive {
-                    if !mask[i] {
-                        continue;
-                    }
-                }
-                let center = Point {
-                    x: self.xs[slot],
-                    y: self.ys[slot],
-                };
-                let mut count = 0u32;
-                let mut only = usize::MAX;
-                'scan: for &idx in &scratch.block {
-                    let idx = idx as usize;
-                    for t in self.starts[idx] as usize..self.starts[idx + 1] as usize {
-                        let j = self.ids[t] as usize;
-                        if j == i {
-                            continue;
-                        }
-                        if let Some(mask) = alive {
-                            if !mask[j] {
-                                continue;
-                            }
-                        }
-                        let q = Point {
-                            x: self.xs[t],
-                            y: self.ys[t],
-                        };
-                        if center.torus_dist_sq(q) < r2 {
-                            count += 1;
-                            if count >= 2 {
-                                break 'scan;
-                            }
-                            only = j;
-                        }
-                    }
-                }
-                if count == 1 {
-                    out[i] = only;
-                }
+        }
+        self.sweep_pairs(radius, scratch);
+        for (slot, (&h, &p)) in scratch.hits.iter().zip(&scratch.partner).enumerate() {
+            if h == 1 {
+                out[self.ids[slot] as usize] = self.ids[p as usize] as usize;
             }
         }
     }
@@ -1032,9 +1107,7 @@ impl SpatialHash {
     ///
     /// This is the per-node form of the unmasked
     /// [`SpatialHash::unique_neighbors_into`] kernel and is result-identical
-    /// to it: the batch kernel's occupancy prunes only skip work whose
-    /// outcome is already decided, and the ambiguous sliver runs exactly
-    /// this scan — a block sweep with an early exit at the second in-radius
+    /// to it: a block scan with an early exit at the second in-radius
     /// neighbor. Demand-driven schedulers use it to answer the `S*`
     /// singleton question for the handful of *active* nodes without paying
     /// the whole-network batch pass.
@@ -1044,59 +1117,28 @@ impl SpatialHash {
     /// Panics if `radius` is not finite and positive, or `id` is out of
     /// range.
     pub fn unique_neighbor_within(&self, id: usize, radius: f64) -> usize {
-        let Some(grid) = self.grid else {
+        if self.grid.is_none() {
             return usize::MAX;
-        };
+        }
         assert!(
             radius.is_finite() && radius > 0.0,
             "radius must be positive, got {radius}"
         );
         assert!(id < self.ids.len(), "point id {id} out of range");
-        let r2 = radius * radius;
-        let s = grid.cells_per_side();
-        let bc = block_reach(radius, self.cell_len);
-        let center = self.position(id);
-        // Derive the home cell from the position (what `cell_scratch`
-        // caches on the slice paths) so streamed builds work too.
-        let c = grid.cell_of(center).index();
-        // Inlined `for_each_block_cell` block walk: the closure form cannot
-        // early-exit, and stopping at the second neighbor is the point.
-        let si = s as isize;
-        let whole = 2 * bc + 1 >= si;
-        let (lo, hi) = if whole { (0, si - 1) } else { (-bc, bc) };
-        let (row, col) = (c / s, c % s);
         let mut count = 0u32;
         let mut only = usize::MAX;
-        'scan: for dr in lo..=hi {
-            for dc in lo..=hi {
-                let (r, cc) = if whole {
-                    (dr as usize, dc as usize)
-                } else {
-                    (
-                        (row as isize + dr).rem_euclid(si) as usize,
-                        (col as isize + dc).rem_euclid(si) as usize,
-                    )
-                };
-                let idx = grid.cell(r, cc).index();
-                for t in self.starts[idx] as usize..self.starts[idx + 1] as usize {
-                    let j = self.ids[t] as usize;
-                    if j == id {
-                        continue;
-                    }
-                    let q = Point {
-                        x: self.xs[t],
-                        y: self.ys[t],
-                    };
-                    if center.torus_dist_sq(q) < r2 {
-                        count += 1;
-                        if count >= 2 {
-                            break 'scan;
-                        }
-                        only = j;
-                    }
+        let reach = block_reach(radius, self.cell_len);
+        let _ = self.scan_disk(self.position(id), radius, reach, |t| {
+            let j = self.ids[t] as usize;
+            if j != id {
+                count += 1;
+                if count >= 2 {
+                    return ControlFlow::Break(());
                 }
+                only = j;
             }
-        }
+            ControlFlow::Continue(())
+        });
         if count == 1 {
             only
         } else {
@@ -1107,54 +1149,33 @@ impl SpatialHash {
     /// Calls `f(i, j)` with `i < j` exactly once for every unordered pair of
     /// indexed points strictly within `radius` of each other.
     ///
-    /// Visits each cell once and scans only its covering block, streaming
-    /// the SoA mirror; emission order is unspecified. This is the
-    /// allocation-free kernel behind contact counting.
+    /// Runs the same half-stencil sweep as
+    /// [`SpatialHash::unique_neighbors_into`], streaming the SoA mirror;
+    /// emission order is unspecified. This is the allocation-free kernel
+    /// behind contact counting and greedy candidate enumeration.
     ///
     /// # Panics
     ///
     /// Panics if `radius` is not finite and positive.
     pub fn for_each_pair_within<F: FnMut(usize, usize)>(&self, radius: f64, mut f: F) {
-        let Some(grid) = self.grid else { return };
+        if self.grid.is_none() {
+            return;
+        }
         assert!(
             radius.is_finite() && radius > 0.0,
             "radius must be positive, got {radius}"
         );
-        let r2 = radius * radius;
-        let s = grid.cells_per_side();
-        let bc = block_reach(radius, self.cell_len);
-        let cell_count = grid.cell_count();
-        for c in 0..cell_count {
-            let begin = self.starts[c] as usize;
-            let end = self.starts[c + 1] as usize;
-            if begin == end {
-                continue;
-            }
-            // Each pair is emitted while processing the cell of its smaller
-            // id: the `j > i` filter drops the mirror visit from the other
-            // endpoint's cell (blocks are symmetric, so both visits occur).
-            for_each_block_cell(grid, c / s, c % s, bc, |idx| {
-                for t in self.starts[idx] as usize..self.starts[idx + 1] as usize {
-                    let j = self.ids[t] as usize;
-                    let q = Point {
-                        x: self.xs[t],
-                        y: self.ys[t],
-                    };
-                    for slot in begin..end {
-                        let i = self.ids[slot] as usize;
-                        if j > i {
-                            let p = Point {
-                                x: self.xs[slot],
-                                y: self.ys[slot],
-                            };
-                            if p.torus_dist_sq(q) < r2 {
-                                f(i, j);
-                            }
-                        }
-                    }
+        self.sweep_pairs(
+            radius,
+            &mut EveryPair(|a: usize, b: usize| {
+                let (i, j) = (self.ids[a] as usize, self.ids[b] as usize);
+                if i < j {
+                    f(i, j);
+                } else {
+                    f(j, i);
                 }
-            });
-        }
+            }),
+        );
     }
 }
 
@@ -1304,12 +1325,18 @@ mod tests {
         // buckets, which received ids in increasing order per cell.
         let pts = random_points(400, 19);
         let hash = SpatialHash::build(&pts, 0.07);
-        for c in 0..hash.starts.len() - 1 {
-            let cell = hash.cell_ids(c);
+        let (cells, offsets, ids) = hash.csr_layout();
+        assert!(cells.windows(2).all(|w| w[0] < w[1]), "cells ascend");
+        for (k, &c) in cells.iter().enumerate() {
+            let cell = &ids[offsets[k] as usize..offsets[k + 1] as usize];
+            assert!(!cell.is_empty(), "cell {c} is listed but empty");
             assert!(cell.windows(2).all(|w| w[0] < w[1]), "cell {c}: {cell:?}");
+            assert!(cell.iter().all(|&id| hash.cell_scratch[id as usize] == c));
+            assert_eq!(hash.rank[c as usize], k as u32);
         }
-        let total: usize = hash.ids.len();
-        assert_eq!(total, pts.len());
+        let listed = hash.rank.iter().filter(|&&k| k != EMPTY).count();
+        assert_eq!(listed, cells.len(), "only occupied cells have a rank");
+        assert_eq!(ids.len(), pts.len());
     }
 
     #[test]
@@ -1352,11 +1379,11 @@ mod tests {
         let pts_b = random_points(1000, 31);
         let mut hash = SpatialHash::build(&pts_a, 0.03);
         let ids_cap = hash.ids.capacity();
-        let starts_cap = hash.starts.capacity();
+        let rank_cap = hash.rank.capacity();
         let points_cap = hash.points.capacity();
         hash.rebuild(&pts_b, 0.03);
         assert_eq!(hash.ids.capacity(), ids_cap);
-        assert_eq!(hash.starts.capacity(), starts_cap);
+        assert_eq!(hash.rank.capacity(), rank_cap);
         assert_eq!(hash.points.capacity(), points_cap);
         let mut got = hash.query(pts_b[0], 0.03);
         got.sort_unstable();
@@ -1513,9 +1540,8 @@ mod tests {
     }
 
     #[test]
-    fn unique_neighbors_masked_tiny_radius_skips_alive_counts() {
-        // Radius so small that the 2048-cap grid dwarfs the population:
-        // the kernel must stay correct on the totals-only bound path.
+    fn unique_neighbors_masked_on_a_sparse_grid() {
+        // Radius so small that the 2048-cap grid dwarfs the population.
         let mut scratch = OccupancyScratch::default();
         let mut out = Vec::new();
         let pts = random_points(100, 89);
@@ -1526,9 +1552,9 @@ mod tests {
     }
 
     #[test]
-    fn unique_neighbors_dense_cluster_prunes_correctly() {
-        // Everyone packed into one cell: the >=3-in-cell prune must not
-        // misclassify, and the answer is "no singletons anywhere".
+    fn unique_neighbors_dense_cluster() {
+        // Everyone packed into one cell: the answer is "no singletons
+        // anywhere".
         let mut scratch = OccupancyScratch::default();
         let mut out = Vec::new();
         let mut rng = StdRng::seed_from_u64(97);
@@ -1546,28 +1572,198 @@ mod tests {
         assert!(out.iter().all(|&v| v == usize::MAX));
     }
 
+    /// `n` points uniform in `clusters` disks of radius `spread` around
+    /// random centers: the weak-mobility rows' placement, which fills
+    /// occupied cells of a grid sized to a far smaller radius.
+    fn clustered_points(n: usize, clusters: usize, spread: f64, seed: u64) -> Vec<Point> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let centers = random_points(clusters, seed ^ 0xC1);
+        (0..n)
+            .map(|_| {
+                let c = centers[rng.gen_range(0..clusters)];
+                let rho = spread * rng.gen::<f64>().sqrt();
+                let theta = std::f64::consts::TAU * rng.gen::<f64>();
+                Point::new(c.x + rho * theta.cos(), c.y + rho * theta.sin())
+            })
+            .collect()
+    }
+
     #[test]
     fn per_node_unique_neighbor_matches_batch_kernel() {
         let mut scratch = OccupancyScratch::default();
         let mut out = Vec::new();
-        for (n, radius, seed) in [
-            (2usize, 0.3, 59u64),
-            (50, 0.08, 61),
-            (400, 0.03, 67),
-            (400, 0.2, 71),
-            (1000, 0.01, 73),
+        // The weak-row geometry: 5 clusters of radius 0.04 and the guard
+        // radius 1.5·r·√(m/n) of n = 3125 (a 416² grid).
+        let weak_guard = 1.5 * 0.04 * (5.0f64 / 3125.0).sqrt();
+        for (pts, radius) in [
+            (random_points(2, 59), 0.3),
+            (random_points(50, 61), 0.08),
+            (random_points(400, 67), 0.03),
+            (random_points(400, 71), 0.2),
+            (random_points(1000, 73), 0.01),
+            (clustered_points(2000, 5, 0.04, 75), weak_guard),
+            (clustered_points(2000, 1, 0.04, 76), 0.01),
         ] {
-            let pts = random_points(n, seed);
+            let n = pts.len();
             let hash = SpatialHash::build(&pts, clamp_index_radius(radius));
             hash.unique_neighbors_into(radius, None, &mut scratch, &mut out);
-            for id in 0..n {
+            for (id, &want) in out.iter().enumerate() {
                 assert_eq!(
                     hash.unique_neighbor_within(id, radius),
-                    out[id],
+                    want,
                     "n={n} id={id}"
                 );
             }
         }
+    }
+
+    fn brute_pairs(pts: &[Point], radius: f64) -> Vec<(usize, usize)> {
+        let mut want = Vec::new();
+        for i in 0..pts.len() {
+            for j in i + 1..pts.len() {
+                if pts[i].torus_dist_sq(pts[j]) < radius * radius {
+                    want.push((i, j));
+                }
+            }
+        }
+        want
+    }
+
+    /// Checks both consumers of the pair sweep, and the per-node scan,
+    /// against brute force on an index built with cell-sizing `hint`.
+    fn assert_sweep_exact(pts: &[Point], hint: f64, radius: f64, alive: Option<&[bool]>) {
+        let hash = SpatialHash::build(pts, hint);
+        let mut scratch = OccupancyScratch::default();
+        let mut out = Vec::new();
+        hash.unique_neighbors_into(radius, alive, &mut scratch, &mut out);
+        let want = brute_unique_neighbors(pts, radius, alive);
+        assert_eq!(out, want, "unique neighbors, hint={hint} radius={radius}");
+        if alive.is_none() {
+            for (id, &w) in want.iter().enumerate() {
+                assert_eq!(hash.unique_neighbor_within(id, radius), w, "id={id}");
+            }
+        }
+        let mut got = Vec::new();
+        hash.for_each_pair_within(radius, |i, j| {
+            assert!(i < j);
+            got.push((i, j));
+        });
+        got.sort_unstable();
+        // Equal to the duplicate-free brute-force list: each pair once.
+        assert_eq!(
+            got,
+            brute_pairs(pts, radius),
+            "pairs, hint={hint} radius={radius}"
+        );
+    }
+
+    #[test]
+    fn sweep_exact_on_the_smallest_grid() {
+        // s = 4: the half-stencil's next row and east cell wrap onto cells
+        // that are also west/above neighbors of other cells.
+        let pts = random_points(300, 401);
+        for radius in [0.05, 0.2, 0.25] {
+            assert_sweep_exact(&pts, 0.25, radius, None);
+        }
+        assert_eq!(cells_for_radius(0.25), 4);
+    }
+
+    #[test]
+    fn sweep_exact_at_the_half_torus_tie() {
+        // Coordinate differences of exactly 0.5: `axis_delta` keeps +0.5
+        // one way and -0.5 the other, which square to the same distance.
+        let pts = vec![
+            Point::new(0.0, 0.3),
+            Point::new(0.5, 0.3),
+            Point::new(0.25, 0.75),
+            Point::new(0.75, 0.25),
+            Point::new(0.125, 0.0),
+            Point::new(0.125, 0.5),
+            Point::new(0.9, 0.9),
+        ];
+        for (hint, radius) in [(0.25, 0.5), (0.25, 0.50001), (0.25, 0.71), (0.1, 0.5001)] {
+            assert_sweep_exact(&pts, hint, radius, None);
+        }
+    }
+
+    #[test]
+    fn sweep_exact_on_cell_boundaries() {
+        // A lattice on the cell boundaries x = k/s, y = j/s, at radii just
+        // under, at and over the lattice spacing, plus points a hair off
+        // the boundaries.
+        let s = 10;
+        let mut pts: Vec<Point> = (0..s * s)
+            .map(|i| Point::new((i % s) as f64 / s as f64, (i / s) as f64 / s as f64))
+            .collect();
+        for k in [1, 4, 9] {
+            let x = k as f64 / s as f64;
+            pts.push(Point::new(x - 1e-12, 0.55));
+            pts.push(Point::new(x + 1e-12, 0.55));
+        }
+        for radius in [0.099_999_9, 0.1, 0.100_000_1, 0.05] {
+            assert_sweep_exact(&pts, 0.1, radius, None);
+        }
+    }
+
+    #[test]
+    fn sweep_exact_with_coincident_points() {
+        let a = Point::new(0.3, 0.3);
+        let b = Point::new(0.7, 0.2);
+        let pts = vec![a, a, b, a, b, Point::new(0.71, 0.2), Point::new(0.1, 0.9)];
+        assert_sweep_exact(&pts, 0.05, 0.05, None);
+        // Exactly two coincident points are each other's unique neighbor.
+        assert_sweep_exact(&[b, b, a], 0.05, 0.05, None);
+    }
+
+    #[test]
+    fn sweep_exact_across_the_wrap() {
+        // Pairs across the last-row/row-0 and last-col/col-0 seams, and the
+        // corner, on a grid whose cells are exactly the radius.
+        let pts = vec![
+            Point::new(0.999, 0.5),
+            Point::new(0.001, 0.5),
+            Point::new(0.3, 0.999),
+            Point::new(0.3, 0.004),
+            Point::new(0.998, 0.998),
+            Point::new(0.002, 0.003),
+            Point::new(0.6, 0.6),
+        ];
+        for radius in [0.005, 0.01] {
+            assert_sweep_exact(&pts, 0.01, radius, None);
+        }
+        let pts = random_points(500, 409);
+        assert_sweep_exact(&pts, 0.05, 0.05, None);
+    }
+
+    #[test]
+    fn sweep_exact_for_radii_above_the_hint() {
+        // Reach 2 and beyond take the block fallback; a block that wraps
+        // past the grid takes the whole-grid fallback.
+        let pts = random_points(400, 419);
+        for radius in [0.03, 0.05, 0.3, 0.5] {
+            assert_sweep_exact(&pts, 0.02, radius, None);
+        }
+        let pts = random_points(60, 421);
+        assert_sweep_exact(&pts, 0.4, 0.3, None);
+        assert_sweep_exact(&pts, 1.0, 0.2, None);
+    }
+
+    #[test]
+    fn sweep_exact_with_all_dead_and_one_alive() {
+        let pts = random_points(300, 431);
+        let dead = vec![false; pts.len()];
+        assert_sweep_exact(&pts, 0.1, 0.1, Some(&dead));
+        let mut one = dead.clone();
+        one[17] = true;
+        assert_sweep_exact(&pts, 0.1, 0.1, Some(&one));
+        // A dead point between two live ones neither pairs nor blocks.
+        let pts = vec![
+            Point::new(0.5, 0.5),
+            Point::new(0.51, 0.5),
+            Point::new(0.52, 0.5),
+        ];
+        assert_sweep_exact(&pts, 0.05, 0.015, Some(&[true, false, true]));
+        assert_sweep_exact(&pts, 0.05, 0.025, Some(&[true, false, true]));
     }
 
     #[test]
@@ -1643,7 +1839,7 @@ mod tests {
                 assert_eq!(streamed.position(id), p, "position {id}");
             }
             // Kernels read only the CSR + SoA state, so equal layouts give
-            // equal answers; spot-check the occupancy kernel end to end.
+            // equal answers; spot-check the guard-zone kernel end to end.
             let mut scratch = OccupancyScratch::default();
             let (mut a, mut b) = (Vec::new(), Vec::new());
             streamed.unique_neighbors_into(radius, None, &mut scratch, &mut a);
@@ -1695,7 +1891,7 @@ mod tests {
     fn assert_empty_index(hash: &SpatialHash) {
         assert_eq!(hash.len(), 0);
         assert!(hash.is_empty());
-        assert_eq!(hash.csr_layout(), (&[][..], &[][..]));
+        assert_eq!(hash.csr_layout(), (&[][..], &[][..], &[][..]));
         assert!(hash.query(Point::new(0.5, 0.5), 0.5).is_empty());
         assert_eq!(hash.count_within(Point::new(0.5, 0.5), 0.5), 0);
         let mut scratch = OccupancyScratch::default();

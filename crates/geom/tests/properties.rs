@@ -249,72 +249,25 @@ proptest! {
         prop_assert_eq!(reused.csr_layout(), fresh.csr_layout());
     }
 
-    /// The occupancy-pruned unique-neighbor kernel agrees with brute force
-    /// for every node, with and without an alive mask.
+    /// The pair-sweep unique-neighbor kernel agrees with brute force for
+    /// every node, with and without an alive mask.
     #[test]
     fn unique_neighbors_kernel_equals_brute_force(
-        pts in prop::collection::vec(arb_unit_point(), 0..150),
+        pts in prop::collection::vec(arb_unit_point(), 0..600),
         mask_seed in any::<u64>(),
         radius in 0.002f64..0.35,
     ) {
-        // Seed-derived mask: `None` a quarter of the time, otherwise
-        // roughly a quarter of the nodes dead.
-        let mask: Option<Vec<bool>> = if mask_seed.is_multiple_of(4) {
-            None
-        } else {
-            Some((0..pts.len()).map(|i| {
-                let mut h = mask_seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                h ^= h >> 33;
-                h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-                h ^= h >> 33;
-                !h.is_multiple_of(4)
-            }).collect())
-        };
-        let hash = SpatialHash::build(&pts, clamp_index_radius(radius));
-        let mut scratch = OccupancyScratch::default();
-        let mut got = Vec::new();
-        hash.unique_neighbors_into(radius, mask.as_deref(), &mut scratch, &mut got);
-        prop_assert_eq!(got.len(), pts.len());
-        let alive = |i: usize| mask.as_ref().is_none_or(|m| m[i]);
-        for (i, &p) in pts.iter().enumerate() {
-            let mut want = usize::MAX;
-            let mut count = 0u32;
-            if alive(i) {
-                for (j, &q) in pts.iter().enumerate() {
-                    if j != i && alive(j) && p.torus_dist_sq(q) < radius * radius {
-                        count += 1;
-                        want = j;
-                    }
-                }
-            }
-            if count != 1 {
-                want = usize::MAX;
-            }
-            prop_assert_eq!(got[i], want, "node {}", i);
-        }
+        check_unique_neighbors(&pts, mask_seed, radius)?;
     }
 
     /// The pair kernel emits exactly the brute-force set of unordered
     /// in-range pairs, each exactly once with `i < j`.
     #[test]
     fn pair_kernel_equals_brute_force(
-        pts in prop::collection::vec(arb_unit_point(), 0..150),
+        pts in prop::collection::vec(arb_unit_point(), 0..600),
         radius in 0.002f64..0.35,
     ) {
-        let hash = SpatialHash::build(&pts, clamp_index_radius(radius));
-        let mut got = Vec::new();
-        hash.for_each_pair_within(radius, |i, j| got.push((i, j)));
-        prop_assert!(got.iter().all(|&(i, j)| i < j));
-        got.sort_unstable();
-        let mut want = Vec::new();
-        for i in 0..pts.len() {
-            for j in (i + 1)..pts.len() {
-                if pts[i].torus_dist_sq(pts[j]) < radius * radius {
-                    want.push((i, j));
-                }
-            }
-        }
-        prop_assert_eq!(got, want);
+        check_pairs(&pts, radius)?;
     }
 
     /// Cut membership agrees with the defining geometry of each cut.
@@ -342,5 +295,109 @@ proptest! {
         let b = Vec2::new(bx, by);
         let c = (a + b) - b;
         prop_assert!((c.x - a.x).abs() < 1e-9 && (c.y - a.y).abs() < 1e-9);
+    }
+}
+
+/// Seed-derived alive mask: `None` a quarter of the time, otherwise
+/// roughly a quarter of the nodes dead.
+fn seeded_mask(len: usize, mask_seed: u64) -> Option<Vec<bool>> {
+    if mask_seed.is_multiple_of(4) {
+        return None;
+    }
+    Some(
+        (0..len)
+            .map(|i| {
+                let mut h = mask_seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                h ^= h >> 33;
+                h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+                h ^= h >> 33;
+                !h.is_multiple_of(4)
+            })
+            .collect(),
+    )
+}
+
+/// Runs the unique-neighbor kernel under a seeded mask and compares every
+/// node with the brute-force answer.
+fn check_unique_neighbors(pts: &[Point], mask_seed: u64, radius: f64) -> TestCaseResult {
+    let mask = seeded_mask(pts.len(), mask_seed);
+    let hash = SpatialHash::build(pts, clamp_index_radius(radius));
+    let mut scratch = OccupancyScratch::default();
+    let mut got = Vec::new();
+    hash.unique_neighbors_into(radius, mask.as_deref(), &mut scratch, &mut got);
+    prop_assert_eq!(got.len(), pts.len());
+    let alive = |i: usize| mask.as_ref().is_none_or(|m| m[i]);
+    for (i, &p) in pts.iter().enumerate() {
+        let mut want = usize::MAX;
+        let mut count = 0u32;
+        if alive(i) {
+            for (j, &q) in pts.iter().enumerate() {
+                if j != i && alive(j) && p.torus_dist_sq(q) < radius * radius {
+                    count += 1;
+                    want = j;
+                }
+            }
+        }
+        if count != 1 {
+            want = usize::MAX;
+        }
+        prop_assert_eq!(got[i], want, "node {}", i);
+    }
+    Ok(())
+}
+
+/// Compares the pair kernel with the brute-force pair list.
+fn check_pairs(pts: &[Point], radius: f64) -> TestCaseResult {
+    let hash = SpatialHash::build(pts, clamp_index_radius(radius));
+    let mut got = Vec::new();
+    hash.for_each_pair_within(radius, |i, j| got.push((i, j)));
+    prop_assert!(got.iter().all(|&(i, j)| i < j));
+    got.sort_unstable();
+    let mut want = Vec::new();
+    for i in 0..pts.len() {
+        for j in (i + 1)..pts.len() {
+            if pts[i].torus_dist_sq(pts[j]) < radius * radius {
+                want.push((i, j));
+            }
+        }
+    }
+    prop_assert_eq!(got, want);
+    Ok(())
+}
+
+/// Up to ~2,000 points in 1–5 disks of radius 0.04, the weak-mobility
+/// rows' placement: a grid sized to the guard radius has mostly empty
+/// cells, and the occupied ones hold several points each.
+fn arb_clustered_points() -> impl Strategy<Value = Vec<Point>> {
+    (
+        prop::collection::vec(arb_unit_point(), 1..6),
+        prop::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0usize..5), 0..2000),
+    )
+        .prop_map(|(centers, draws)| {
+            draws
+                .into_iter()
+                .map(|(u, v, c)| {
+                    let c = centers[c % centers.len()];
+                    let rho = 0.04 * u.sqrt();
+                    let theta = std::f64::consts::TAU * v;
+                    c.translate(Vec2::new(rho * theta.cos(), rho * theta.sin()))
+                })
+                .collect()
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The kernels on clustered inputs around the weak row's guard radius
+    /// (`1.5·r·√(m/n) = 0.0024` at n = 3125, a 416² grid).
+    #[test]
+    fn kernels_equal_brute_force_on_clustered_inputs(
+        pts in arb_clustered_points(),
+        mask_seed in any::<u64>(),
+        radius in 0.001f64..0.01,
+    ) {
+        check_unique_neighbors(&pts, mask_seed, radius)?;
+        check_pairs(&pts, radius)?;
     }
 }

@@ -12,9 +12,10 @@
 //!
 //! Scheme B's loop holds everything scheme A's does — the streamed spatial
 //! index (ids, slot order, cell tags, SoA coordinate mirror and the
-//! id-ordered staging copy ≈ 44 B/node) and the occupancy kernel's
-//! neighbor table (8 B/node) — plus its MS group table (8 B/node) and the
-//! BS group table (8 B/BS), so it is the tighter of the two.
+//! id-ordered staging copy ≈ 44 B/node, plus ≤ 12 B/node of sort scratch
+//! and occupied-cell lists) and the guard-zone kernel's neighbor table and
+//! hit/partner scratch (13 B/node) — plus its MS group table (8 B/node)
+//! and the BS group table (8 B/BS), so it is the tighter of the two.
 //!
 //! `#[ignore]` by default — the debug-profile allocator makes it slow — and
 //! run in CI's release job via `cargo test -p hycap-sim --release

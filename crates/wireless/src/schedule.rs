@@ -83,7 +83,7 @@ pub struct SlotWorkspace {
     /// the same run reuse it through [`SpatialHash::update`], so the CSR
     /// layout is patched incrementally while cell churn stays low.
     hash: SpatialHash,
-    /// Scratch for the cell-occupancy kernels of the spatial index.
+    /// Scratch for the guard-zone kernel of the spatial index.
     occupancy: OccupancyScratch,
     /// `S*`: unique guard-zone neighbor per node (`usize::MAX` = none/many).
     neighbor: Vec<usize>,
@@ -261,7 +261,7 @@ impl SStarScheduler {
     /// [`SlotWorkspace::hash_mut`] — over this slot's positions with the
     /// cell-sizing radius `clamp_index_radius((1 + Δ) * range)`, exactly as
     /// the slice path does internally. Given that, the emitted pairs are
-    /// bit-identical to the slice path: the occupancy kernel and the strict
+    /// bit-identical to the slice path: the guard-zone kernel and the strict
     /// range check both read the index's own coordinate mirror. This is the
     /// scheduling entry point of the streaming engines, which never hold
     /// all `n` positions at once.
@@ -389,11 +389,11 @@ impl Scheduler for SStarScheduler {
             return;
         }
         ws.hash.update(positions, clamp_index_radius(guard));
-        // Cell-occupancy kernel: record, for every alive node, its unique
-        // alive guard-zone neighbor (if the alive neighborhood is a
-        // singleton). Dead nodes are invisible — they neither pair nor
-        // block. Result-identical to the per-node radius scan this replaced,
-        // but most cells are decided from occupancy counts alone.
+        // Guard-zone kernel: record, for every alive node, its unique alive
+        // guard-zone neighbor (if the alive neighborhood is a singleton).
+        // Dead nodes are invisible — they neither pair nor block.
+        // Result-identical to the per-node radius scan this replaced, but
+        // one pair sweep over the occupied cells tests each pair once.
         ws.hash
             .unique_neighbors_into(guard, alive, &mut ws.occupancy, &mut ws.neighbor);
         for (i, &j) in ws.neighbor.iter().enumerate() {

@@ -252,7 +252,7 @@ proptest! {
         prop_assert_eq!(p.partner_of(b), Some(a));
     }
 
-    /// The occupancy-pruned S* kernel is bit-identical to the seed
+    /// The pair-sweep S* kernel is bit-identical to the seed
     /// scheduler across random alive masks and all three range regimes.
     #[test]
     fn sstar_bit_identical_to_seed_reference(
