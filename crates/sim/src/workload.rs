@@ -1,15 +1,131 @@
-//! Finite-flow workloads: how flows arrive on each traffic pair, how many
-//! packets each carries and how many may be in the network at once.
+//! What a packet-level run injects: a [`Workload`].
 //!
-//! [`FlowWorkload::specs`] expands a workload into its flow instances.
-//! Workload randomness comes from counter-based [`FlowRng`] streams keyed by
+//! A [`FlowWorkload`] says how finite flows arrive on each traffic pair, how
+//! many packets each carries and how many may be in the network at once;
+//! [`FlowWorkload::specs`] expands it into its flow instances. Workload
+//! randomness comes from counter-based [`FlowRng`] streams keyed by
 //! `(workload seed, pair)`, independent of the mobility RNG — so the same
 //! workload can be replayed against any mobility draw, and replications
 //! stay bit-identical at any thread count.
+//!
+//! [`Steady`] injection draws nothing: every pair injects the same fixed
+//! rate each slot.
 
 use crate::events::{FlowRng, Time};
+use crate::flows::FlowRunStats;
+use crate::packet::PacketStats;
 use hycap_errors::HycapError;
 use rand::Rng;
+
+/// What a [`FlowRun`](crate::FlowRun)'s sources inject. The workload fixes
+/// the statistics the run reports: finite flows from a [`FlowWorkload`]
+/// report [`FlowRunStats`], [`Steady`] injection reports [`PacketStats`].
+/// These two are the only workloads.
+pub trait Workload: Copy + sealed::Source {
+    /// The statistics a run of this workload reports.
+    type Stats: sealed::Report;
+}
+
+impl Workload for FlowWorkload {
+    type Stats = FlowRunStats;
+}
+
+impl Workload for Steady {
+    type Stats = PacketStats;
+}
+
+/// The event loop's view of a [`Workload`], out of reach of other crates.
+pub(crate) mod sealed {
+    use super::{FlowRunStats, FlowWorkload, PacketStats, Steady};
+    use hycap_errors::HycapError;
+
+    /// A run's injection.
+    #[derive(Debug, Clone, Copy)]
+    pub enum Injection {
+        Flows(FlowWorkload),
+        Steady(Steady),
+    }
+
+    impl Injection {
+        pub fn validate(&self) -> Result<(), HycapError> {
+            match self {
+                Injection::Flows(w) => w.validate(),
+                Injection::Steady(s) => s.validate(),
+            }
+        }
+    }
+
+    pub trait Source {
+        fn injection(&self) -> Injection;
+    }
+
+    impl Source for FlowWorkload {
+        fn injection(&self) -> Injection {
+            Injection::Flows(*self)
+        }
+    }
+
+    impl Source for Steady {
+        fn injection(&self) -> Injection {
+            Injection::Steady(*self)
+        }
+    }
+
+    /// Picks a run's statistics from its flow and its steady accounting.
+    pub trait Report {
+        fn report(flows: FlowRunStats, packets: PacketStats) -> Self;
+    }
+
+    impl Report for FlowRunStats {
+        fn report(flows: FlowRunStats, _: PacketStats) -> Self {
+            flows
+        }
+    }
+
+    impl Report for PacketStats {
+        fn report(_: FlowRunStats, packets: PacketStats) -> Self {
+            packets
+        }
+    }
+}
+
+/// Steady open-loop traffic: every covered pair injects `lambda` packets
+/// per slot for `slots` slots. A fractional rate accumulates, so `λ = 0.25`
+/// injects one packet every fourth slot and `λ = 1.5` alternates one and
+/// two. The rate at which queues stop draining is the capacity
+/// [`PacketEngine::find_capacity`](crate::PacketEngine::find_capacity)
+/// bisects for.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Steady {
+    /// Packets per slot per covered pair (must be non-negative and finite).
+    pub lambda: f64,
+    /// Slots to simulate (must be ≥ 1).
+    pub slots: usize,
+}
+
+impl Steady {
+    /// Injection of `lambda` packets per pair per slot for `slots` slots.
+    pub fn new(lambda: f64, slots: usize) -> Self {
+        Steady { lambda, slots }
+    }
+
+    /// Validates both parameters.
+    ///
+    /// # Errors
+    ///
+    /// [`HycapError::InvalidParameter`] naming the offending field.
+    pub fn validate(&self) -> Result<(), HycapError> {
+        if self.slots == 0 {
+            return Err(HycapError::invalid("slots", "need at least one slot"));
+        }
+        let lambda = self.lambda;
+        if !(lambda >= 0.0 && lambda.is_finite()) {
+            let detail = format!("lambda must be non-negative and finite, got {lambda}");
+            return Err(HycapError::invalid("lambda", detail));
+        }
+        Ok(())
+    }
+}
 
 /// How flows arrive on each traffic pair.
 #[derive(Debug, Clone, Copy, PartialEq)]

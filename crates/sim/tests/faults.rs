@@ -13,8 +13,8 @@ use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
 use hycap_obs::Observer;
 use hycap_routing::{SchemeAPlan, SchemeBPlan, TrafficMatrix};
 use hycap_sim::{
-    DegradedFluidReport, FaultInjector, FaultSchedule, FluidEngine, FluidPlan, FluidRun,
-    HybridNetwork, OutagePolicy, PacketEngine,
+    DegradedFluidReport, FaultSchedule, FlowOutcome, FlowRun, FluidEngine, FluidPlan, FluidRun,
+    HybridNetwork, OutagePolicy, PacketEngine, PacketStats, Steady,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -111,41 +111,63 @@ fn empty_schedule_bit_identical_fluid_scheme_a() {
     assert_eq!(faulted.outage_slots, 0);
 }
 
+/// A steady scheme-B packet run at `lambda` for `slots` slots under
+/// `schedule`'s faults.
+fn packet_b(
+    net: &mut HybridNetwork,
+    plan: &SchemeBPlan,
+    lambda: f64,
+    slots: usize,
+    (schedule, policy): (&FaultSchedule, OutagePolicy),
+    rng: &mut StdRng,
+) -> FlowOutcome<PacketStats> {
+    let load = Steady::new(lambda, slots);
+    let run = FlowRun::scheme_b(net, plan, &load, rng).faults(schedule, policy);
+    PacketEngine::default()
+        .run_flows(run, &mut Observer::noop())
+        .unwrap()
+}
+
 #[test]
 fn empty_schedule_bit_identical_packet_scheme_b() {
     let slots = 1200;
     let lambda = 0.002;
     let (mut net, plan, _, mut rng) = hybrid_setup(150, 16, 4, SEED + 2);
-    let plain = PacketEngine::default().run_scheme_b(&mut net, &plan, lambda, slots, &mut rng);
+    let load = Steady::new(lambda, slots);
+    let plain = PacketEngine::default()
+        .run_flows(
+            FlowRun::scheme_b(&mut net, &plan, &load, &mut rng),
+            &mut Observer::noop(),
+        )
+        .unwrap()
+        .stats;
 
     let (mut net2, plan2, _, mut rng2) = hybrid_setup(150, 16, 4, SEED + 2);
-    let mut injector = FaultInjector::new(16, &FaultSchedule::empty()).unwrap();
-    let faulted = PacketEngine::default()
-        .run_scheme_b_with_faults(
-            &mut net2,
-            &plan2,
-            lambda,
-            slots,
-            &mut injector,
-            OutagePolicy::RadioOff,
-            &mut rng2,
-        )
-        .unwrap();
+    let empty = FaultSchedule::empty();
+    let faulted = packet_b(
+        &mut net2,
+        &plan2,
+        lambda,
+        slots,
+        (&empty, OutagePolicy::RadioOff),
+        &mut rng2,
+    );
     assert!(plain.delivered > 0, "baseline run must move packets");
-    assert_eq!(faulted.base.injected, plain.injected);
-    assert_eq!(faulted.base.delivered, plain.delivered);
-    assert_eq!(faulted.base.backlog, plain.backlog);
+    assert_eq!(faulted.stats.injected, plain.injected);
+    assert_eq!(faulted.stats.delivered, plain.delivered);
+    assert_eq!(faulted.stats.backlog, plain.backlog);
     assert_eq!(
-        faulted.base.throughput_per_node.to_bits(),
+        faulted.stats.throughput_per_node.to_bits(),
         plain.throughput_per_node.to_bits()
     );
     assert_eq!(
-        faulted.base.mean_delay.to_bits(),
+        faulted.stats.mean_delay.to_bits(),
         plain.mean_delay.to_bits()
     );
-    assert_eq!(faulted.infra_delivered, plain.delivered);
-    assert_eq!(faulted.fallback_delivered, 0);
-    assert_eq!(faulted.lost_uplink_contacts, 0);
+    let degraded = faulted.degraded.unwrap();
+    assert_eq!(degraded.infra_delivered, plain.delivered);
+    assert_eq!(degraded.fallback_delivered, 0);
+    assert_eq!(degraded.lost_uplink_contacts, 0);
 }
 
 /// Kill `per_group` base stations in every group (regular grid: every group
@@ -264,26 +286,17 @@ fn packet_engine_delivers_via_fallback_when_all_bs_dead() {
     for b in 0..16 {
         schedule = schedule.crash_bs(0, b);
     }
-    let mut injector = FaultInjector::new(16, &schedule).unwrap();
-    let stats = PacketEngine::default()
-        .run_scheme_b_with_faults(
-            &mut net,
-            &plan,
-            0.001,
-            slots,
-            &mut injector,
-            OutagePolicy::RadioOff,
-            &mut rng,
-        )
-        .unwrap();
-    assert!(stats.base.injected > 0);
+    let policy = OutagePolicy::RadioOff;
+    let out = packet_b(&mut net, &plan, 0.001, slots, (&schedule, policy), &mut rng);
+    let (base, stats) = (out.stats, out.degraded.unwrap());
+    assert!(base.injected > 0);
     assert_eq!(stats.infra_delivered, 0, "no BS alive, no infra delivery");
     assert!(
         stats.fallback_delivered > 0,
         "direct source–destination contacts must still deliver (backlog {})",
-        stats.base.backlog
+        base.backlog
     );
-    assert_eq!(stats.fallback_delivered, stats.base.delivered);
+    assert_eq!(stats.fallback_delivered, base.delivered);
     assert_eq!(stats.fallback_share(), 1.0);
     assert_eq!(stats.k_alive_mean, 0.0);
     assert_eq!(stats.outage_slots, slots);
@@ -297,18 +310,9 @@ fn occupy_spectrum_wastes_contacts_on_dead_bs() {
     for b in 0..8 {
         schedule = schedule.crash_bs(0, b);
     }
-    let mut injector = FaultInjector::new(16, &schedule).unwrap();
-    let stats = PacketEngine::default()
-        .run_scheme_b_with_faults(
-            &mut net,
-            &plan,
-            0.002,
-            slots,
-            &mut injector,
-            OutagePolicy::OccupySpectrum,
-            &mut rng,
-        )
-        .unwrap();
+    let policy = OutagePolicy::OccupySpectrum;
+    let out = packet_b(&mut net, &plan, 0.002, slots, (&schedule, policy), &mut rng);
+    let stats = out.degraded.unwrap();
     assert!(
         stats.lost_uplink_contacts > 0,
         "dead BSs under OccupySpectrum must waste scheduled contacts"

@@ -2,7 +2,9 @@
 //! pacing's fast paths — idle-slot fast-forward (`skip`) and active-set
 //! scheduling (`active_set`) — must be pure accelerations. For every flow
 //! scheme (A relay chains, B infrastructure, B under fault injection, C
-//! cellular TDMA), across i.i.d.-stationary and static mobility and for
+//! cellular TDMA) and every steady route (chains, A's any-member relaying,
+//! B fault-free and faulted, C), across i.i.d.-stationary and static
+//! mobility and for
 //! any clock origin (including base slots past 2³², the old `u32`
 //! truncation regression surface), all four flag combinations produce
 //! bit-identical flow statistics and idleness accounting. Only the
@@ -28,7 +30,7 @@ use hycap_routing::{SchemeAPlan, SchemeBPlan, SchemeCPlan, TrafficMatrix};
 use hycap_sim::obs::{MemorySink, Observer};
 use hycap_sim::{
     FaultSchedule, FlowRun, FlowWorkload, HybridNetwork, OutagePolicy, Pacing, PacingTrace,
-    PacketEngine,
+    PacketEngine, Steady,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -63,6 +65,25 @@ fn stripped_json(obs: &Observer<MemorySink>) -> String {
         .filter(|l| !l.contains("\"total_micros\""))
         .collect::<Vec<_>>()
         .join("\n")
+}
+
+/// Two clustered cells of `N` stations drawn from `seed` and the TDMA
+/// layout over them.
+fn cellular(seed: u64) -> (SchemeCPlan, CellularLayout, TrafficMatrix) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let centers = vec![Point::new(0.25, 0.25), Point::new(0.75, 0.75)];
+    let radius = 0.1;
+    let mut positions = Vec::with_capacity(N);
+    let mut cluster_of = Vec::with_capacity(N);
+    for i in 0..N {
+        let c = i % 2;
+        cluster_of.push(c);
+        positions.push(Torus::UNIT.sample_in_disk(&mut rng, centers[c], radius * 0.9));
+    }
+    let layout = CellularLayout::build(&centers, radius, 20);
+    let traffic = TrafficMatrix::permutation(N, &mut rng);
+    let plan = SchemeCPlan::build(&positions, &cluster_of, &layout, &traffic);
+    (plan, layout, traffic)
 }
 
 fn mobility_of(static_mob: bool) -> MobilityKind {
@@ -186,11 +207,13 @@ proptest! {
         check_all_variants(run)?;
     }
 
-    /// The steady-state chains loop ([`PacketEngine::run_chains`],
-    /// Bernoulli injection, `PacketStats`): the same four-variant contract
-    /// as the flow runs, including counters and the feasibility probe in
-    /// the snapshot — steady-state injection keeps slots active, so this
-    /// mostly exercises the "demand mode that never gets to skip" path.
+    /// Steady injection ([`Steady`], `PacketStats`) over every route —
+    /// chains, scheme A's any-member relaying, scheme B fault-free and
+    /// under faults, scheme C — under the same four-variant contract as
+    /// the flow runs, including the run's pacing trace, counters and the
+    /// feasibility probe in the snapshot. Fast-forward stops at the next
+    /// slot the accumulator injects in, so low rates skip most of the
+    /// horizon.
     #[test]
     fn steady_state_packet_stats_are_pacing_invariant(
         seed in 0u64..1 << 16,
@@ -198,28 +221,44 @@ proptest! {
         static_mob in any::<bool>(),
         base_slot in prop_oneof![Just(0u64), (1u64 << 32) + 1..1 << 40],
     ) {
-        let run = |skip: bool, active_set: bool| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let config = PopulationConfig::builder(N)
-                .alpha(0.0)
-                .kernel(Kernel::uniform_disk(1.0))
-                .mobility(mobility_of(static_mob))
-                .build();
-            let pop = Population::generate(&config, &mut rng);
-            let traffic = TrafficMatrix::permutation(N, &mut rng);
-            let chains: Vec<Vec<usize>> = traffic.pairs().map(|(s, d)| vec![s, d]).collect();
-            let mut net = HybridNetwork::ad_hoc(pop);
-            let mut obs = Observer::recording().with_probes();
-            let stats = engine(base_slot, skip, active_set)
-                .run_chains_observed(&mut net, &chains, lambda, HORIZON, &mut rng, &mut obs)
-                .unwrap();
-            (
-                format!("{stats:?}"),
-                PacingTrace::default(),
-                stripped_json(&obs),
-            )
-        };
-        check_all_variants(run)?;
+        for route in 0..5 {
+            let run = |skip: bool, active_set: bool| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let config = PopulationConfig::builder(N)
+                    .alpha(0.25)
+                    .kernel(Kernel::uniform_disk(1.0))
+                    .mobility(mobility_of(static_mob))
+                    .build();
+                let pop = Population::generate(&config, &mut rng);
+                let bs = BaseStations::generate_regular(16, 1.0);
+                let homes = pop.home_points().points().to_vec();
+                let traffic = TrafficMatrix::permutation(N, &mut rng);
+                let chains: Vec<Vec<usize>> = traffic.pairs().map(|(s, d)| vec![s, d]).collect();
+                let plan_a = SchemeAPlan::build(&homes, &traffic, (N as f64).powf(0.25));
+                let plan_b = SchemeBPlan::build(&homes, &traffic, &bs, 2);
+                let (plan_c, layout, traffic_c) = cellular(seed);
+                let mut net = HybridNetwork::with_infrastructure(pop, bs);
+                let schedule = FaultSchedule::empty()
+                    .crash_bs(0, 0)
+                    .crash_bs(HORIZON / 2, 1)
+                    .with_bernoulli_bs_outage(0.02, seed ^ 0xBAD);
+                let load = Steady::new(lambda, HORIZON);
+                let (net, rng) = (&mut net, &mut rng);
+                let run = match route {
+                    0 => FlowRun::chains(net, &chains, &load, rng),
+                    1 => FlowRun::scheme_a(net, &plan_a, &traffic, &load, rng),
+                    2 => FlowRun::scheme_b(net, &plan_b, &load, rng),
+                    3 => FlowRun::scheme_b(net, &plan_b, &load, rng)
+                        .faults(&schedule, OutagePolicy::RadioOff),
+                    _ => FlowRun::scheme_c(&plan_c, &layout, &traffic_c, 1.0, &load),
+                };
+                let mut obs = Observer::recording().with_probes();
+                let out = engine(base_slot, skip, active_set).run_flows(run, &mut obs).unwrap();
+                (format!("{:?} {:?}", out.stats, out.degraded), out.trace, stripped_json(&obs))
+            };
+            prop_assert_eq!(run(false, false).1.slots, HORIZON as u64);
+            check_all_variants(run)?;
+        }
     }
 
     /// Scheme C cellular TDMA: no mobility is drawn at all, so demand
@@ -232,20 +271,7 @@ proptest! {
         base_slot in prop_oneof![Just(0u64), (1u64 << 32) + 1..1 << 40],
     ) {
         let run = |skip: bool, active_set: bool| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let torus = Torus::UNIT;
-            let centers = vec![Point::new(0.25, 0.25), Point::new(0.75, 0.75)];
-            let radius = 0.1;
-            let mut positions = Vec::with_capacity(N);
-            let mut cluster_of = Vec::with_capacity(N);
-            for i in 0..N {
-                let c = i % 2;
-                cluster_of.push(c);
-                positions.push(torus.sample_in_disk(&mut rng, centers[c], radius * 0.9));
-            }
-            let layout = CellularLayout::build(&centers, radius, 20);
-            let traffic = TrafficMatrix::permutation(N, &mut rng);
-            let plan = SchemeCPlan::build(&positions, &cluster_of, &layout, &traffic);
+            let (plan, layout, traffic) = cellular(seed);
             let w = FlowWorkload::poisson(rate, 3, HORIZON).with_seed(seed ^ 0xF10);
             let mut obs = Observer::recording().with_probes();
             let run = FlowRun::scheme_c(&plan, &layout, &traffic, 1.0, &w);

@@ -13,7 +13,7 @@ use hycap_sim::obs::Observer;
 use hycap_sim::{
     Event, EventQueue, FlowRun, FlowRunStats, FlowWorkload, HybridNetwork, PacketEngine,
 };
-use hycap_sim::{PacketStats, WorkerPool};
+use hycap_sim::{PacketStats, Steady, WorkerPool};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -147,9 +147,8 @@ fn high_base_slot_matches_origin_run_bit_for_bit() {
         let (mut net, mut rng) = dense_net(50, 21);
         let traffic = TrafficMatrix::permutation(50, &mut rng);
         let chains: Vec<Vec<usize>> = traffic.pairs().map(|(s, d)| vec![s, d]).collect();
-        engine
-            .run_chains(&mut net, &chains, 0.05, 200, &mut rng)
-            .unwrap()
+        let run = FlowRun::chains(&mut net, &chains, &Steady::new(0.05, 200), &mut rng);
+        engine.run_flows(run, &mut Observer::noop()).unwrap().stats
     };
     let base = run(PacketEngine::default());
     let offset_stats = run(PacketEngine::default().with_base_slot(offset));
@@ -187,9 +186,12 @@ fn high_base_slot_scheme_b_delays_stay_finite() {
     let traffic = TrafficMatrix::permutation(150, &mut rng);
     let plan = SchemeBPlan::build(&homes, &traffic, &bs, 4);
     let mut net = HybridNetwork::with_infrastructure(pop, bs);
+    let run = FlowRun::scheme_b(&mut net, &plan, &Steady::new(0.002, 2000), &mut rng);
     let stats = PacketEngine::default()
         .with_base_slot(offset)
-        .run_scheme_b(&mut net, &plan, 0.002, 2000, &mut rng);
+        .run_flows(run, &mut Observer::noop())
+        .unwrap()
+        .stats;
     assert!(stats.delivered > 0, "inconclusive: nothing delivered");
     assert!(
         stats.mean_delay.is_finite() && stats.mean_delay < 2000.0,

@@ -9,8 +9,9 @@
 use hycap_infra::BaseStations;
 use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
 use hycap_routing::{SchemeAPlan, SchemeBPlan, TrafficMatrix};
-use hycap_sim::faults::{FaultInjector, FaultSchedule, OutagePolicy};
-use hycap_sim::{HybridNetwork, PacketEngine, PacketStats};
+use hycap_sim::faults::{FaultSchedule, OutagePolicy};
+use hycap_sim::obs::Observer;
+use hycap_sim::{FlowRun, HybridNetwork, PacketEngine, PacketStats, Steady};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -63,6 +64,14 @@ fn check(label: &'static str, stats: &PacketStats, want: &Reference) {
     );
 }
 
+/// A steady run's statistics under the default engine.
+fn steady(run: FlowRun<'_, StdRng, Steady>) -> PacketStats {
+    PacketEngine::default()
+        .run_flows(run, &mut Observer::noop())
+        .unwrap()
+        .stats
+}
+
 fn dense_net(n: usize, seed: u64) -> (HybridNetwork, StdRng) {
     let mut rng = StdRng::seed_from_u64(seed);
     let config = PopulationConfig::builder(n)
@@ -79,9 +88,12 @@ fn run_chains_direct_matches_seed_reference() {
     let (mut net, mut rng) = dense_net(80, 11);
     let traffic = TrafficMatrix::permutation(80, &mut rng);
     let chains: Vec<Vec<usize>> = traffic.pairs().map(|(s, d)| vec![s, d]).collect();
-    let stats = PacketEngine::default()
-        .run_chains(&mut net, &chains, 0.01, 400, &mut rng)
-        .unwrap();
+    let stats = steady(FlowRun::chains(
+        &mut net,
+        &chains,
+        &Steady::new(0.01, 400),
+        &mut rng,
+    ));
     check(
         "chains-direct",
         &stats,
@@ -103,9 +115,12 @@ fn run_chains_relays_match_seed_reference() {
     let homes = net.population().home_points().points().to_vec();
     let plan = SchemeAPlan::build(&homes, &traffic, 2.0);
     let chains = plan.materialize_relays(&traffic, &mut rng);
-    let stats = PacketEngine::default()
-        .run_chains(&mut net, &chains, 0.002, 600, &mut rng)
-        .unwrap();
+    let stats = steady(FlowRun::chains(
+        &mut net,
+        &chains,
+        &Steady::new(0.002, 600),
+        &mut rng,
+    ));
     check(
         "chains-relay",
         &stats,
@@ -132,8 +147,10 @@ fn scheme_a_matches_seed_reference() {
     let traffic = TrafficMatrix::permutation(150, &mut rng);
     let plan = SchemeAPlan::build(&homes, &traffic, (150f64).powf(0.25));
     let mut net = HybridNetwork::ad_hoc(pop);
-    let stats =
-        PacketEngine::default().run_scheme_a(&mut net, &plan, &traffic, 0.002, 600, &mut rng);
+    let load = Steady::new(0.002, 600);
+    let stats = steady(FlowRun::scheme_a(
+        &mut net, &plan, &traffic, &load, &mut rng,
+    ));
     check(
         "scheme-a",
         &stats,
@@ -165,7 +182,8 @@ fn scheme_b_matches_seed_reference() {
     let traffic = TrafficMatrix::permutation(150, &mut rng);
     let plan = SchemeBPlan::build(&homes, &traffic, &bs, 4);
     let mut net = HybridNetwork::with_infrastructure(pop, bs);
-    let stats = PacketEngine::default().run_scheme_b(&mut net, &plan, 0.002, 2000, &mut rng);
+    let load = Steady::new(0.002, 2000);
+    let stats = steady(FlowRun::scheme_b(&mut net, &plan, &load, &mut rng));
     check(
         "scheme-b",
         &stats,
@@ -198,21 +216,12 @@ fn scheme_b_faulted_matches_seed_reference() {
         .crash_bs(0, 1)
         .crash_bs(100, 2)
         .repair_bs(300, 1);
-    let mut injector = FaultInjector::new(16, &schedule).unwrap();
-    let report = PacketEngine::default()
-        .run_scheme_b_with_faults(
-            &mut net,
-            &plan,
-            0.002,
-            2000,
-            &mut injector,
-            OutagePolicy::RadioOff,
-            &mut rng,
-        )
-        .unwrap();
+    let load = Steady::new(0.002, 2000);
+    let run = FlowRun::scheme_b(&mut net, &plan, &load, &mut rng)
+        .faults(&schedule, OutagePolicy::RadioOff);
     check(
         "scheme-b-faulted",
-        &report.base,
+        &steady(run),
         &Reference {
             label: "scheme-b-faulted",
             injected: 600,
@@ -244,7 +253,8 @@ fn scheme_c_matches_seed_reference() {
     let layout = CellularLayout::build(&centers, radius, 20);
     let traffic = TrafficMatrix::permutation(n, &mut rng);
     let plan = SchemeCPlan::build(&positions, &cluster_of, &layout, &traffic);
-    let stats = PacketEngine::default().run_scheme_c(&plan, &layout, &traffic, 1.0, 0.01, 500);
+    let load = Steady::new(0.01, 500);
+    let stats = steady(FlowRun::scheme_c(&plan, &layout, &traffic, 1.0, &load));
     check(
         "scheme-c",
         &stats,

@@ -13,7 +13,8 @@
 
 use hycap_mobility::{Kernel, Population, PopulationConfig};
 use hycap_routing::{SchemeAPlan, TrafficMatrix};
-use hycap_sim::{FluidEngine, HybridNetwork, PacketEngine};
+use hycap_sim::obs::Observer;
+use hycap_sim::{FlowRun, FluidEngine, HybridNetwork, PacketEngine, Steady};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -48,7 +49,12 @@ fn main() {
     for &load in &[0.1, 0.25, 0.5, 1.0, 2.0, 4.0] {
         // Packets are W/2-sized: one fluid-λ unit = 2 packets/slot.
         let lambda = load * fluid.lambda * 2.0;
-        let stats = engine.run_scheme_a(&mut net, &plan, &traffic, lambda, 4000, &mut rng);
+        let steady = Steady::new(lambda, 4000);
+        let run = FlowRun::scheme_a(&mut net, &plan, &traffic, &steady, &mut rng);
+        let stats = engine
+            .run_flows(run, &mut Observer::noop())
+            .expect("valid steady run")
+            .stats;
         println!(
             "{:<12} {:<12} {:<14} {:<12} {:<10}",
             format!("{load:.2}"),
@@ -58,7 +64,7 @@ fn main() {
                 stats.delivered,
                 100.0 * stats.delivery_ratio()
             ),
-            if stats.mean_delay.is_nan() {
+            if stats.delivered == 0 {
                 "-".to_string()
             } else {
                 format!("{:.0} slots", stats.mean_delay)

@@ -21,9 +21,9 @@ use hycap::obs::{MetricsSink, Observer, PROBE_RATE_BUDGET, PROBE_SCHEDULE_FEASIB
 use hycap::{ModelExponents, Realization, Scenario};
 use hycap_routing::{SchemeAPlan, SchemeBPlan};
 use hycap_sim::{
-    DegradedFluidReport, DegradedPacketStats, FaultInjector, FaultSchedule, FlowRun, FlowRunStats,
-    FlowWorkload, FluidEngine, FluidPlan, FluidRun, HybridNetwork, OutagePolicy, PacketEngine,
-    PacketStats,
+    DegradedFluidReport, FaultSchedule, FlowOutcome, FlowRun, FlowRunStats, FlowWorkload,
+    FluidEngine, FluidPlan, FluidRun, HybridNetwork, OutagePolicy, PacketEngine, PacketStats,
+    Steady,
 };
 use rand::rngs::StdRng;
 
@@ -39,15 +39,16 @@ fn stats_identical(a: &PacketStats, b: &PacketStats) -> bool {
         && a.mean_delay.to_bits() == b.mean_delay.to_bits()
 }
 
-fn degraded_identical(a: &DegradedPacketStats, b: &DegradedPacketStats) -> bool {
-    stats_identical(&a.base, &b.base)
-        && a.infra_delivered == b.infra_delivered
-        && a.fallback_delivered == b.fallback_delivered
-        && a.lost_uplink_contacts == b.lost_uplink_contacts
-        && a.backbone_stalled_slots == b.backbone_stalled_slots
-        && a.k_alive_mean.to_bits() == b.k_alive_mean.to_bits()
-        && a.outage_slots == b.outage_slots
-        && a.tally == b.tally
+fn degraded_identical(a: &FlowOutcome<PacketStats>, b: &FlowOutcome<PacketStats>) -> bool {
+    let (da, db) = (a.degraded.unwrap(), b.degraded.unwrap());
+    stats_identical(&a.stats, &b.stats)
+        && da.infra_delivered == db.infra_delivered
+        && da.fallback_delivered == db.fallback_delivered
+        && da.lost_uplink_contacts == db.lost_uplink_contacts
+        && da.backbone_stalled_slots == db.backbone_stalled_slots
+        && da.k_alive_mean.to_bits() == db.k_alive_mean.to_bits()
+        && da.outage_slots == db.outage_slots
+        && da.tally == db.tally
 }
 
 const SEEDS: [u64; 3] = [11, 22, 33];
@@ -207,41 +208,30 @@ fn fluid_faulted_matrix_clean_and_bit_identical() {
     }
 }
 
+/// Steady scheme A then scheme B packets over a fresh realization of
+/// `seed` at `lambda`, recorded into `obs`.
+fn packets_a_b<S: MetricsSink>(
+    seed: u64,
+    lambda: f64,
+    obs: &mut Observer<S>,
+) -> (PacketStats, PacketStats) {
+    let engine = PacketEngine::default();
+    let (mut r, plan_a, plan_b) = realize(seed);
+    let load = Steady::new(lambda, SLOTS);
+    let run = FlowRun::scheme_a(&mut r.net, &plan_a, &r.traffic, &load, &mut r.rng);
+    let a = engine.run_flows(run, obs).unwrap().stats;
+    let run = FlowRun::scheme_b(&mut r.net, &plan_b, &load, &mut r.rng);
+    let b = engine.run_flows(run, obs).unwrap().stats;
+    (a, b)
+}
+
 #[test]
 fn packet_matrix_clean_and_bit_identical() {
     let lambda = 0.05;
     for seed in SEEDS {
-        let engine = PacketEngine::default();
-        let (mut plain, plan_a, plan_b) = realize(seed);
-        let base_a = engine.run_scheme_a(
-            &mut plain.net,
-            &plan_a,
-            &plain.traffic,
-            lambda,
-            SLOTS,
-            &mut plain.rng,
-        );
-        let base_b = engine.run_scheme_b(&mut plain.net, &plan_b, lambda, SLOTS, &mut plain.rng);
-
-        let (mut obsd, plan_a2, plan_b2) = realize(seed);
+        let (base_a, base_b) = packets_a_b(seed, lambda, &mut Observer::noop());
         let mut obs = Observer::recording().with_probes();
-        let got_a = engine.run_scheme_a_observed(
-            &mut obsd.net,
-            &plan_a2,
-            &obsd.traffic,
-            lambda,
-            SLOTS,
-            &mut obsd.rng,
-            &mut obs,
-        );
-        let got_b = engine.run_scheme_b_observed(
-            &mut obsd.net,
-            &plan_b2,
-            lambda,
-            SLOTS,
-            &mut obsd.rng,
-            &mut obs,
-        );
+        let (got_a, got_b) = packets_a_b(seed, lambda, &mut obs);
         assert!(
             stats_identical(&base_a, &got_a),
             "seed {seed}: packet scheme A diverged: {base_a:?} vs {got_a:?}"
@@ -261,43 +251,29 @@ fn packet_matrix_clean_and_bit_identical() {
     }
 }
 
+/// Steady scheme B packets under `faults` over a fresh realization of
+/// `seed` at `lambda`, recorded into `obs`.
+fn faulted_b<S: MetricsSink>(
+    seed: u64,
+    policy: OutagePolicy,
+    lambda: f64,
+    obs: &mut Observer<S>,
+) -> FlowOutcome<PacketStats> {
+    let (mut r, _, plan_b) = realize(seed);
+    let schedule = faults(r.params.k);
+    let load = Steady::new(lambda, SLOTS);
+    let run = FlowRun::scheme_b(&mut r.net, &plan_b, &load, &mut r.rng).faults(&schedule, policy);
+    PacketEngine::default().run_flows(run, obs).unwrap()
+}
+
 #[test]
 fn packet_faulted_matrix_clean_and_bit_identical() {
     let lambda = 0.05;
     for seed in SEEDS {
         for policy in [OutagePolicy::RadioOff, OutagePolicy::OccupySpectrum] {
-            let engine = PacketEngine::default();
-            let (mut plain, _, plan_b) = realize(seed);
-            let k = plain.params.k;
-            let schedule = faults(k);
-            let mut inj = FaultInjector::new(k, &schedule).unwrap();
-            let base = engine
-                .run_scheme_b_with_faults(
-                    &mut plain.net,
-                    &plan_b,
-                    lambda,
-                    SLOTS,
-                    &mut inj,
-                    policy,
-                    &mut plain.rng,
-                )
-                .unwrap();
-
-            let (mut obsd, _, plan_b2) = realize(seed);
+            let base = faulted_b(seed, policy, lambda, &mut Observer::noop());
             let mut obs = Observer::recording().with_probes();
-            let mut inj = FaultInjector::new(k, &schedule).unwrap();
-            let got = engine
-                .run_scheme_b_with_faults_observed(
-                    &mut obsd.net,
-                    &plan_b2,
-                    lambda,
-                    SLOTS,
-                    &mut inj,
-                    policy,
-                    &mut obsd.rng,
-                    &mut obs,
-                )
-                .unwrap();
+            let got = faulted_b(seed, policy, lambda, &mut obs);
             assert!(
                 degraded_identical(&base, &got),
                 "seed {seed} {policy:?}: faulted packet B diverged: {base:?} vs {got:?}"
@@ -358,9 +334,12 @@ fn empty_run_row_reports_zeros_and_finite_json() {
     let (mut r, _, _) = realize(SEEDS[0]);
     let chains: Vec<Vec<usize>> = r.traffic.pairs().map(|(s, d)| vec![s, d]).collect();
     let mut obs = Observer::recording().with_probes();
+    let load = Steady::new(0.0, SLOTS);
+    let run = FlowRun::chains(&mut r.net, &chains, &load, &mut r.rng);
     let stats = PacketEngine::default()
-        .run_chains_observed(&mut r.net, &chains, 0.0, SLOTS, &mut r.rng, &mut obs)
-        .unwrap();
+        .run_flows(run, &mut obs)
+        .unwrap()
+        .stats;
     assert_eq!(stats.injected, 0);
     assert_eq!(stats.delivered, 0);
     assert_eq!(stats.mean_delay.to_bits(), 0.0f64.to_bits());

@@ -5,7 +5,8 @@
 use hycap::{MobilityRegime, ModelExponents, Scenario};
 use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
 use hycap_routing::{SchemeAPlan, TrafficMatrix};
-use hycap_sim::{FluidEngine, HybridNetwork, PacketEngine};
+use hycap_sim::obs::Observer;
+use hycap_sim::{FlowRun, FluidEngine, HybridNetwork, PacketEngine, Steady};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -109,12 +110,13 @@ fn fluid_and_packet_engines_agree_on_feasibility() {
     let chains = plan.materialize_relays(&traffic, &mut rng);
     let engine = PacketEngine::default();
     // Packets have size W/2, so one fluid-unit of λ is two packets/slot.
-    let low = engine
-        .run_chains(&mut net, &chains, 0.2 * fluid.lambda, 2500, &mut rng)
-        .unwrap();
-    let high = engine
-        .run_chains(&mut net, &chains, 20.0 * fluid.lambda, 800, &mut rng)
-        .unwrap();
+    let mut run = |lambda: f64, slots: usize| {
+        let load = Steady::new(lambda, slots);
+        let run = FlowRun::chains(&mut net, &chains, &load, &mut rng);
+        engine.run_flows(run, &mut Observer::noop()).unwrap().stats
+    };
+    let low = run(0.2 * fluid.lambda, 2500);
+    let high = run(20.0 * fluid.lambda, 800);
     assert!(
         low.delivery_ratio() > 2.0 * high.delivery_ratio(),
         "packet engine does not separate feasible ({:.2}) from infeasible ({:.2})",
