@@ -20,7 +20,7 @@
 //! decimal round-trip would quietly wash out the last ulp.
 
 use hycap_errors::HycapError;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::Path;
@@ -61,7 +61,7 @@ pub fn scenario_digest(parts: &[&str]) -> String {
 
 struct CheckpointInner {
     file: File,
-    done: HashMap<String, Vec<f64>>,
+    done: BTreeMap<String, Vec<f64>>,
 }
 
 /// An open checkpoint journal. Thread-safe: workers journal completed
@@ -107,7 +107,7 @@ impl Checkpoint {
         Ok(Checkpoint {
             inner: Mutex::new(CheckpointInner {
                 file,
-                done: HashMap::new(),
+                done: BTreeMap::new(),
             }),
         })
     }
@@ -151,7 +151,7 @@ impl Checkpoint {
                 ));
             }
         }
-        let mut done = HashMap::new();
+        let mut done = BTreeMap::new();
         for line in lines {
             // A malformed record can only be the torn tail of a killed
             // append; the point simply recomputes.

@@ -52,7 +52,6 @@ use hycap_wireless::{
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -542,16 +541,18 @@ impl FluidEngine {
         let n = net.n();
         let range = self.range_for(n);
         let scheduler = SStarScheduler::new(self.delta);
-        // hop -> flow ids listening on it.
-        let mut hop_index: HashMap<(usize, usize), Vec<(usize, usize)>> = HashMap::new();
+        // `(link, (flow, hop))` for both hops of every flow, sorted by link.
+        let mut watchers = Vec::with_capacity(2 * traffic.len());
         for (s, d) in traffic.pairs() {
             let r = plan.relay_of(s);
             let h1 = if s < r { (s, r) } else { (r, s) };
             let h2 = if r < d { (r, d) } else { (d, r) };
-            hop_index.entry(h1).or_default().push((s, 0));
-            hop_index.entry(h2).or_default().push((s, 1));
+            watchers.push((h1, (s, 0)));
+            watchers.push((h2, (s, 1)));
         }
-        let mut hop_counts: HashMap<usize, [f64; 2]> = HashMap::new();
+        watchers.sort_by_key(|&(link, _)| link);
+        // Scheduled slots per flow and hop.
+        let mut hop_counts = vec![[0.0f64; 2]; traffic.len()];
         let mut buf = Vec::new();
         let mut ws = SlotWorkspace::new();
         let mut pairs: Vec<ScheduledPair> = Vec::new();
@@ -562,19 +563,16 @@ impl FluidEngine {
                 if pair.a >= n || pair.b >= n {
                     continue;
                 }
-                if let Some(watchers) = hop_index.get(&(pair.a, pair.b)) {
-                    for &(flow, hop) in watchers {
-                        hop_counts.entry(flow).or_insert([0.0; 2])[hop] += 1.0;
-                    }
+                let link = (pair.a, pair.b);
+                let first = watchers.partition_point(|&(l, _)| l < link);
+                for &(_, (flow, hop)) in watchers[first..].iter().take_while(|&&(l, _)| l == link) {
+                    hop_counts[flow][hop] += 1.0;
                 }
             }
         }
         let mut rates: Vec<f64> = traffic
             .pairs()
-            .map(|(s, _)| {
-                let counts = hop_counts.get(&s).copied().unwrap_or([0.0; 2]);
-                0.5 * counts[0].min(counts[1]) / slots as f64
-            })
+            .map(|(s, _)| 0.5 * hop_counts[s][0].min(hop_counts[s][1]) / slots as f64)
             .collect();
         rates.sort_by(f64::total_cmp);
         let mean = rates.iter().sum::<f64>() / rates.len() as f64;
@@ -1500,6 +1498,7 @@ mod tests {
     use hycap_mobility::{ClusteredModel, Kernel, MobilityKind, Population, PopulationConfig};
     use hycap_routing::edge_key;
     use rand::SeedableRng;
+    use std::collections::BTreeMap;
 
     fn uniform_net(n: usize, seed: u64) -> (HybridNetwork, StdRng) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1521,7 +1520,7 @@ mod tests {
             let grid = SquareGrid::with_cells_per_side(side);
             let cells: Vec<Cell> = grid.cells().collect();
             let mut rng = StdRng::seed_from_u64(0xED6E + side as u64);
-            let mut keyed: HashMap<EdgeKey, f64> = HashMap::new();
+            let mut keyed: BTreeMap<EdgeKey, f64> = BTreeMap::new();
             let mut dense = SlotAcc::new(3 * grid.cell_count());
             for _ in 0..500 {
                 let ca = cells[rng.gen_range(0..cells.len())];
@@ -1535,7 +1534,7 @@ mod tests {
             }
             // Every same-or-adjacent key owns a slot of its own, and only
             // those keys have one.
-            let mut owner: HashMap<usize, EdgeKey> = HashMap::new();
+            let mut owner: BTreeMap<usize, EdgeKey> = BTreeMap::new();
             for &a in &cells {
                 for &b in &cells {
                     let key = edge_key(a, b);
